@@ -11,7 +11,7 @@ use pcap_core::{
     IdlePredictor, Pcap, PcapConfig, PredictionTable, SharedTable, SignatureTracker, TableKey,
 };
 use pcap_sim::{
-    audit_prepared, evaluate_app, evaluate_prepared, evaluate_prepared_observed, MetricsObserver,
+    audit_prepared, evaluate, evaluate_app, evaluate_prepared, MetricsObserver, NullObserver,
     PowerManagerKind, PreparedTrace, SimConfig,
 };
 use pcap_types::{
@@ -191,8 +191,14 @@ fn observer_overhead(c: &mut Criterion) {
     group.bench_function("metrics", |b| {
         b.iter(|| {
             let mut sink = MetricsObserver::default();
-            let report =
-                evaluate_prepared_observed(&prepared, &config, PowerManagerKind::PCAP, &mut sink);
+            let (report, _) = evaluate(
+                &prepared,
+                &config,
+                PowerManagerKind::PCAP,
+                None,
+                &mut sink,
+                &pcap_obs::NullPipeline,
+            );
             black_box((report, sink.metrics))
         })
     });
@@ -208,7 +214,6 @@ fn observer_overhead(c: &mut Criterion) {
 /// counter update per evaluation), plus the raw per-span cost of the
 /// recorder itself.
 fn tracing_overhead(c: &mut Criterion) {
-    use pcap_sim::evaluate_prepared_traced;
     let trace = sample_trace();
     let events = trace.total_ios() as u64;
     let config = SimConfig::paper();
@@ -218,10 +223,12 @@ fn tracing_overhead(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("disabled", |b| {
         b.iter(|| {
-            black_box(evaluate_prepared_traced(
+            black_box(evaluate(
                 &prepared,
                 &config,
                 PowerManagerKind::PCAP,
+                None,
+                &mut NullObserver,
                 &pcap_obs::NullPipeline,
             ))
         })
@@ -229,10 +236,12 @@ fn tracing_overhead(c: &mut Criterion) {
     group.bench_function("recording", |b| {
         let recorder = pcap_obs::TraceRecorder::new();
         b.iter(|| {
-            black_box(evaluate_prepared_traced(
+            black_box(evaluate(
                 &prepared,
                 &config,
                 PowerManagerKind::PCAP,
+                None,
+                &mut NullObserver,
                 &recorder,
             ))
         })

@@ -569,6 +569,7 @@ idle-gap distribution (all executions):"
             let spec = app.spec();
             let config = SimConfig::paper();
             let mut manager = pcap_sim::PowerManagerKind::PCAP.manager(&config);
+            let mut scratch = pcap_sim::EngineScratch::new();
             // Replay earlier executions so the prediction table carries
             // its cross-execution training (§4.2) into the inspected run.
             for j in 0..run_idx {
@@ -576,38 +577,51 @@ idle-gap distribution (all executions):"
                     .generate_run(options.seed, j)
                     .map_err(|e| e.to_string())?;
                 let streams = pcap_sim::RunStreams::build(&run, &config);
-                pcap_sim::simulate_run(&streams, &config, &mut manager);
+                pcap_sim::simulate_run_observed(
+                    &streams,
+                    &config,
+                    &mut manager,
+                    &mut scratch,
+                    &mut pcap_sim::NullObserver,
+                );
                 manager.on_run_end();
             }
             let run = spec
                 .generate_run(options.seed, run_idx)
                 .map_err(|e| e.to_string())?;
             let streams = pcap_sim::RunStreams::build(&run, &config);
-            let mut log = Vec::new();
-            pcap_sim::simulate_run_logged(&streams, &config, &mut manager, &mut log);
+            let mut collector = pcap_sim::AuditCollector::new();
+            pcap_sim::simulate_run_observed(
+                &streams,
+                &config,
+                &mut manager,
+                &mut scratch,
+                &mut collector,
+            );
+            let records = collector.records();
             println!(
                 "{name} execution {run_idx}: {} disk accesses, {} idle gaps (PCAP manager)\n",
                 streams.accesses.len(),
-                log.len()
+                records.len()
             );
             println!(
                 "{:>6} {:>8} {:>12} {:>10} {:>14} {:>8}",
                 "gap#", "pid", "start", "length", "shutdown", "verdict"
             );
-            for g in log
+            for g in records
                 .iter()
                 .filter(|g| g.verdict != pcap_sim::GapVerdict::Short)
             {
-                let shutdown = g.shutdown.map_or_else(
+                let shutdown = g.shutdown_at.zip(g.shutdown_source).map_or_else(
                     || "-".to_owned(),
                     |(at, source)| format!("{:.2}s ({source})", at.as_secs_f64()),
                 );
                 println!(
                     "{:>6} {:>8} {:>11.2}s {:>9.2}s {:>14} {:>8}",
-                    g.access_index,
+                    g.access,
                     g.pid.0,
-                    g.start.as_secs_f64(),
-                    g.length.as_secs_f64(),
+                    g.at.as_secs_f64(),
+                    g.global_gap.as_secs_f64(),
                     shutdown,
                     match g.verdict {
                         pcap_sim::GapVerdict::Hit => "HIT",
@@ -1441,11 +1455,13 @@ fn run_bench(options: &Options) -> Result<(), String> {
     let eval_observed = || {
         for idx in 0..bench.traces().len() {
             let mut sink = pcap_sim::MetricsObserver::default();
-            let report = pcap_sim::evaluate_prepared_observed(
+            let report = pcap_sim::evaluate(
                 bench.prepared(idx),
                 bench.config(),
                 pcap_sim::PowerManagerKind::PCAP,
+                None,
                 &mut sink,
+                &pcap_obs::NullPipeline,
             );
             std::hint::black_box((&report, &sink.metrics));
         }
@@ -1454,10 +1470,12 @@ fn run_bench(options: &Options) -> Result<(), String> {
     let eval_traced = || {
         let recorder = TraceRecorder::new();
         for idx in 0..bench.traces().len() {
-            let report = pcap_sim::evaluate_prepared_traced(
+            let report = pcap_sim::evaluate(
                 bench.prepared(idx),
                 bench.config(),
                 pcap_sim::PowerManagerKind::PCAP,
+                None,
+                &mut pcap_sim::NullObserver,
                 &recorder,
             );
             std::hint::black_box(&report);

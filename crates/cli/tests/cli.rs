@@ -1022,3 +1022,31 @@ fn journaled_sweep_exports_progress_metrics() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a (64-bit) of `bytes`: a compact digest for pinned output.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn inspect_output_is_pinned() {
+    let out = pcap(&["inspect", "nedit", "2"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "nedit execution 2: 208 disk accesses, 208 idle gaps (PCAP manager)\n\
+         \n  gap#      pid        start     length       shutdown  verdict\n   \
+         202        1        2.23s     33.61s 12.23s (backup)      HIT\n"
+    );
+    // A multi-process run with primary, backup and not-predicted rows.
+    let out = pcap(&["inspect", "mozilla", "3"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(
+        (out.stdout.len(), fnv1a64(&out.stdout)),
+        (927, 0x1b53_8d6c_b002_d67c),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -40,6 +40,12 @@ impl LogHistogram {
         }
     }
 
+    /// A histogram with the given per-bucket counts (see
+    /// [`counts`](Self::counts) for the bucket layout).
+    pub fn from_counts(counts: [u64; 32]) -> LogHistogram {
+        LogHistogram { counts }
+    }
+
     /// Records one value.
     pub fn record(&mut self, value: u64) {
         self.counts[Self::bucket_of(value)] += 1;

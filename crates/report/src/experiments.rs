@@ -5,8 +5,10 @@ use crate::paper;
 use crate::tables::{pct, Table};
 use crate::workbench::Workbench;
 use pcap_core::PcapVariant;
+use pcap_disk::{LadderPolicy, MultiStateParams};
 use pcap_sim::{
-    evaluate_prepared, AppReport, PowerManagerKind, PreparedTrace, SimConfig, WorkloadProfile,
+    evaluate, evaluate_prepared, AppReport, LadderStats, NullObserver, PowerManagerKind,
+    PreparedTrace, SimConfig, WorkloadProfile,
 };
 use pcap_types::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -786,6 +788,29 @@ fn ablation_multistate(bench: &Workbench) -> Table {
     t
 }
 
+/// One evaluation of `kind` through the ladder charger: the report and
+/// where its descents bottomed out.
+fn ladder_evaluation(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    ladder: &MultiStateParams,
+    policy: &dyn LadderPolicy,
+) -> (AppReport, LadderStats) {
+    let (report, stats) = evaluate(
+        prepared,
+        config,
+        kind,
+        Some((ladder, policy)),
+        &mut NullObserver,
+        &pcap_obs::NullPipeline,
+    );
+    (
+        report,
+        stats.expect("a ladder evaluation returns its stats"),
+    )
+}
+
 /// §7 at full depth: the multi-state *engine* (as opposed to the
 /// wait-window substitution of `PCAP+ms`) descends the mobile-ATA
 /// ladder gap by gap under three policies — trust the prediction and
@@ -795,8 +820,7 @@ fn ablation_multistate(bench: &Workbench) -> Table {
 /// Competitive ratios are computed on gap energy (total minus busy:
 /// the part a policy can influence).
 pub fn multistate(bench: &Workbench) -> Vec<Table> {
-    use pcap_disk::{MultiStateParams, OracleLadder, PredictiveJump, SkiRental};
-    use pcap_sim::evaluate_prepared_multistate;
+    use pcap_disk::{OracleLadder, PredictiveJump, SkiRental};
 
     let ladder = MultiStateParams::mobile_ata();
     let ski = SkiRental::new(&ladder);
@@ -834,20 +858,13 @@ pub fn multistate(bench: &Workbench) -> Vec<Table> {
     for (trace_idx, trace) in bench.traces().iter().enumerate() {
         let prepared = bench.prepared(trace_idx);
         let config = bench.config();
-        let pred = evaluate_prepared_multistate(prepared, config, kind, &ladder, &PredictiveJump);
-        let rental = evaluate_prepared_multistate(prepared, config, kind, &ladder, &ski);
-        let oracle = evaluate_prepared_multistate(prepared, config, kind, &ladder, &OracleLadder);
-        let base = pred.report.base_energy.total();
-        let opt = gap_energy(&oracle.report);
-        let ratios = [
-            gap_energy(&pred.report) / opt,
-            gap_energy(&rental.report) / opt,
-        ];
-        let savings = [
-            pred.report.savings(),
-            rental.report.savings(),
-            oracle.report.savings(),
-        ];
+        let (pred, stats) = ladder_evaluation(prepared, config, kind, &ladder, &PredictiveJump);
+        let (rental, _) = ladder_evaluation(prepared, config, kind, &ladder, &ski);
+        let (oracle, _) = ladder_evaluation(prepared, config, kind, &ladder, &OracleLadder);
+        let base = pred.base_energy.total();
+        let opt = gap_energy(&oracle);
+        let ratios = [gap_energy(&pred) / opt, gap_energy(&rental) / opt];
+        let savings = [pred.savings(), rental.savings(), oracle.savings()];
         for (acc, s) in mean_savings.iter_mut().zip(savings) {
             *acc += s / n;
         }
@@ -857,23 +874,22 @@ pub fn multistate(bench: &Workbench) -> Vec<Table> {
         t.row(vec![
             trace.app.to_string(),
             crate::tables::joules(base),
-            crate::tables::joules(pred.report.energy.total()),
+            crate::tables::joules(pred.energy.total()),
             pct(savings[0]),
-            crate::tables::joules(rental.report.energy.total()),
+            crate::tables::joules(rental.energy.total()),
             pct(savings[1]),
-            crate::tables::joules(oracle.report.energy.total()),
+            crate::tables::joules(oracle.energy.total()),
             pct(savings[2]),
             format!("{:.3}", ratios[0]),
             format!("{:.3}", ratios[1]),
         ]);
-        let s = &pred.ladder_stats;
         dist.row(vec![
             trace.app.to_string(),
-            s.total_gaps().to_string(),
-            s.idle_gaps.to_string(),
-            s.bottom_counts[0].to_string(),
-            s.bottom_counts[1].to_string(),
-            s.bottom_counts[2].to_string(),
+            stats.total_gaps().to_string(),
+            stats.idle_gaps.to_string(),
+            stats.bottom_counts[0].to_string(),
+            stats.bottom_counts[1].to_string(),
+            stats.bottom_counts[2].to_string(),
         ]);
     }
     t.row(vec![
@@ -899,8 +915,7 @@ pub fn multistate(bench: &Workbench) -> Vec<Table> {
 /// the λ = 1 ≡ ski-rental bitwise check and the adversarial straddle
 /// search.
 pub fn lambda(bench: &Workbench) -> Vec<Table> {
-    use pcap_disk::{lambda_bounds, LambdaLadder, MultiStateParams, OracleLadder, SkiRental};
-    use pcap_sim::evaluate_prepared_multistate;
+    use pcap_disk::{lambda_bounds, LambdaLadder, OracleLadder, SkiRental};
     use pcap_workload::{adversarial_gaps, worst_case_search, NoisyVotes};
 
     const LAMBDAS: [f64; 3] = [0.0, 0.5, 1.0];
@@ -940,9 +955,9 @@ pub fn lambda(bench: &Workbench) -> Vec<Table> {
     for (trace_idx, trace) in bench.traces().iter().enumerate() {
         let prepared = bench.prepared(trace_idx);
         let config = bench.config();
-        let oracle = evaluate_prepared_multistate(prepared, config, kind, &ladder, &OracleLadder);
-        let opt = gap_energy(&oracle.report);
-        let rental = evaluate_prepared_multistate(prepared, config, kind, &ladder, &ski);
+        let (oracle, _) = ladder_evaluation(prepared, config, kind, &ladder, &OracleLadder);
+        let opt = gap_energy(&oracle);
+        let (rental, _) = ladder_evaluation(prepared, config, kind, &ladder, &ski);
         for (li, &lam) in LAMBDAS.iter().enumerate() {
             let policy = LambdaLadder::new(&ladder, lam);
             let bounds = lambda_bounds(&ladder, lam);
@@ -956,15 +971,15 @@ pub fn lambda(bench: &Workbench) -> Vec<Table> {
             for (ei, &rate) in ERROR_RATES.iter().enumerate() {
                 let seed = 0x5EED ^ ((trace_idx as u64) << 16) ^ ((li as u64) << 8) ^ ei as u64;
                 let noisy = NoisyVotes::new(&policy, rate, seed);
-                let out = evaluate_prepared_multistate(prepared, config, kind, &ladder, &noisy);
-                let ratio = gap_energy(&out.report) / opt;
+                let (out, _) = ladder_evaluation(prepared, config, kind, &ladder, &noisy);
+                let ratio = gap_energy(&out) / opt;
                 worst[li][ei] = worst[li][ei].max(ratio);
                 row.push(format!("{ratio:.3}"));
                 if ei == 0 {
-                    savings = pct(out.report.savings());
+                    savings = pct(out.savings());
                     if lam == 1.0 {
-                        let a = serde_json::to_string(&out.report).expect("report serializes");
-                        let b = serde_json::to_string(&rental.report).expect("report serializes");
+                        let a = serde_json::to_string(&out).expect("report serializes");
+                        let b = serde_json::to_string(&rental).expect("report serializes");
                         bitwise_ski &= a == b;
                     }
                 }

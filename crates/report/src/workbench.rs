@@ -10,7 +10,7 @@
 use pcap_core::PcapVariant;
 use pcap_obs::{NullPipeline, PipelineObserver};
 use pcap_sim::{
-    evaluate_app, evaluate_prepared, evaluate_prepared_traced, AppReport, PowerManagerKind,
+    evaluate, evaluate_app, evaluate_prepared, AppReport, NullObserver, PowerManagerKind,
     PreparedTrace, SimConfig, SweepRunner,
 };
 use pcap_trace::{ApplicationTrace, TraceError};
@@ -246,7 +246,16 @@ impl Workbench {
                 "warm_up",
                 &claimed,
                 |_, &(trace_idx, kind)| {
-                    evaluate_prepared_traced(self.prepared(trace_idx), &self.config, kind, pipeline)
+                    let prepared = self.prepared(trace_idx);
+                    evaluate(
+                        prepared,
+                        &self.config,
+                        kind,
+                        None,
+                        &mut NullObserver,
+                        pipeline,
+                    )
+                    .0
                 },
                 |_, &(trace_idx, kind)| {
                     format!("cell:{}×{}", self.traces[trace_idx].app, kind.label())

@@ -34,20 +34,11 @@ impl AtomicHistogram {
 
     /// A plain-histogram snapshot plus the value sum.
     pub fn snapshot(&self) -> (LogHistogram, u64) {
-        let mut hist = LogHistogram::new();
-        let mut shadow = [0u64; 32];
-        for (k, bucket) in self.buckets.iter().enumerate() {
-            shadow[k] = bucket.load(Ordering::Relaxed);
-        }
-        // Rebuild through the public API: record one representative
-        // value per bucket, `count` times.
-        for (k, &count) in shadow.iter().enumerate() {
-            let (lo, _) = LogHistogram::bucket_bounds(k);
-            for _ in 0..count {
-                hist.record(lo);
-            }
-        }
-        (hist, self.sum.load(Ordering::Relaxed))
+        let counts = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
+        (
+            LogHistogram::from_counts(counts),
+            self.sum.load(Ordering::Relaxed),
+        )
     }
 
     fn render(&self, name: &str, help: &str, out: &mut String) {
@@ -501,14 +492,16 @@ mod tests {
     #[test]
     fn atomic_histogram_snapshot_matches_buckets() {
         let h = AtomicHistogram::default();
-        for v in [0, 1, 5, 5, 1_000_000] {
+        for v in [0, 1, 5, 5, 1_000_000, u64::MAX] {
             h.record(v);
         }
         let (hist, sum) = h.snapshot();
-        assert_eq!(hist.total(), 5);
-        assert_eq!(sum, 1_000_011);
+        assert_eq!(hist.total(), 6);
+        // The sum wraps on overflow, as `AtomicU64::fetch_add` does.
+        assert_eq!(sum, 1_000_011u64.wrapping_add(u64::MAX));
         assert_eq!(hist.counts()[0], 1);
         assert_eq!(hist.counts()[3], 2, "two fives in [4,8)");
+        assert_eq!(hist.counts()[31], 1, "u64::MAX lands in the clamp bucket");
     }
 
     #[test]

@@ -16,28 +16,54 @@
 //! access is excluded; the terminal gap (last access → run end) is
 //! included.
 //!
+//! There is exactly one per-access loop. It is generic over a gap
+//! charger, the only part that differs between the two energy models:
+//!
+//! * the two-state charger (Table 2) uses the closed-form
+//!   [`GapBreakdown::managed`], with the §7 wait-window substitution
+//!   for managers that have a shallow window state;
+//! * the ladder charger (the §7 extension taken to a full descent
+//!   through [`MultiStateParams::states`]) charges each gap with a
+//!   [`LadderPolicy`]-planned descent via [`descent_energy`], records
+//!   where it bottomed out in [`LadderStats`], and reports that to the
+//!   observer through [`DecisionObserver::on_ladder_bottom`].
+//!
+//! Gap verdicts and prediction counts are classified against the
+//! two-state breakeven under both chargers: prediction quality is a
+//! property of the predictor, not of the ladder. A single-state ladder
+//! built with [`MultiStateParams::from_disk`] and driven by
+//! [`PredictiveJump`](pcap_disk::PredictiveJump) replays the two-state
+//! float operations in the same order, so its reports and decision
+//! streams are byte-identical to the two-state charger's
+//! (`tests/multistate.rs`).
+//!
 //! The simulation borrows a pre-built [`RunStreams`] (which carries the
 //! run's accesses, gaps, lifetimes and lifecycle) and mutates only the
 //! manager plus a reusable [`EngineScratch`], so one prepared stream
-//! can be shared by the whole manager grid — see [`crate::prepared`].
+//! can be shared by the whole manager grid. [`evaluate`] drives every
+//! evaluation of a [`PreparedTrace`].
 
-use crate::audit::{DecisionObserver, DecisionRecord, GapEnergy, NullObserver};
+use crate::audit::{DecisionObserver, DecisionRecord, GapEnergy};
 use crate::factory::{Manager, PowerManagerKind};
 use crate::metrics::{EnergyBreakdown, PredictionCounts};
 use crate::prepared::{evaluate_prepared, PreparedTrace};
 use crate::streams::{LifecycleEvent, LifecycleKind, RunStreams};
 use crate::SimConfig;
-use pcap_core::{GlobalDecision, GlobalPredictor, IdlePredictor, VoteSource};
-use pcap_disk::GapBreakdown;
+use pcap_core::{ladder_target, GlobalDecision, GlobalPredictor, IdlePredictor, VoteSource};
+use pcap_disk::{
+    descent_energy, DescentStep, DiskParams, GapBreakdown, GapContext, LadderPolicy, LowPowerState,
+    MultiStateParams,
+};
 use pcap_trace::ApplicationTrace;
 use pcap_types::{Pid, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The simulator's verdict on one application × one power manager.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppReport {
     /// Application name (shared with the source trace).
-    pub app: std::sync::Arc<str>,
+    pub app: Arc<str>,
     /// Power-manager label ("TP", "PCAPh", …).
     pub manager: String,
     /// Local (per-process) prediction counts, summed over processes and
@@ -92,24 +118,6 @@ pub enum GapVerdict {
     Short,
 }
 
-/// One idle gap's full story, for `pcap inspect`-style debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GapRecord {
-    /// Index of the access that opened the gap.
-    pub access_index: usize,
-    /// Process whose access opened the gap.
-    pub pid: Pid,
-    /// When the gap started (access completion).
-    pub start: SimTime,
-    /// Gap length.
-    pub length: SimDuration,
-    /// When the disk shut down inside the gap, if it did, and who
-    /// decided.
-    pub shutdown: Option<(SimTime, VoteSource)>,
-    /// The verdict.
-    pub verdict: GapVerdict,
-}
-
 /// Per-run simulation outcome.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunOutcome {
@@ -123,21 +131,57 @@ pub struct RunOutcome {
     pub base_energy: EnergyBreakdown,
 }
 
+/// Where the ladder descents bottomed out, summed over gaps: the
+/// observable behaviour of a policy beyond its energy bill.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LadderStats {
+    /// Gaps the disk spent entirely spinning idle (no step fired).
+    pub idle_gaps: u64,
+    /// Gaps whose descent bottomed out in each ladder state,
+    /// index-aligned with [`MultiStateParams::states`].
+    pub bottom_counts: Vec<u64>,
+}
+
+impl LadderStats {
+    /// Zeroed stats for a ladder with `states` states.
+    pub fn new(states: usize) -> LadderStats {
+        LadderStats {
+            idle_gaps: 0,
+            bottom_counts: vec![0; states],
+        }
+    }
+
+    /// Records one gap's bottom-out state (`None` = stayed idle).
+    pub fn record(&mut self, bottom: Option<usize>) {
+        match bottom {
+            Some(state) => self.bottom_counts[state] += 1,
+            None => self.idle_gaps += 1,
+        }
+    }
+
+    /// Total gaps observed.
+    pub fn total_gaps(&self) -> u64 {
+        self.idle_gaps + self.bottom_counts.iter().sum::<u64>()
+    }
+}
+
 /// Reusable per-run engine state: dense per-process predictor and
 /// pending-idle tables keyed by the compact pid index of the current
-/// [`RunStreams`]. Reusing one scratch across the runs of a trace (and
+/// [`RunStreams`], plus the descent-plan buffer the ladder charger
+/// fills per gap. Reusing one scratch across the runs of a trace (and
 /// across managers) keeps the per-access path free of hashing and the
 /// per-run path free of table reallocation.
 #[derive(Default)]
 pub struct EngineScratch {
-    pub(crate) preds: Vec<Option<Box<dyn IdlePredictor>>>,
-    pub(crate) pending_idle: Vec<Option<SimDuration>>,
+    preds: Vec<Option<Box<dyn IdlePredictor>>>,
+    pending_idle: Vec<Option<SimDuration>>,
     /// Per-run global predictor, cleared (capacity kept) between runs.
-    pub(crate) global: GlobalPredictor,
+    global: GlobalPredictor,
     /// Retired per-process predictor boxes available for recycling; see
     /// [`EngineScratch::enable_predictor_pool`].
-    pub(crate) pool: Vec<Box<dyn IdlePredictor>>,
-    pub(crate) pool_enabled: bool,
+    pool: Vec<Box<dyn IdlePredictor>>,
+    pool_enabled: bool,
+    plan: Vec<DescentStep>,
 }
 
 impl EngineScratch {
@@ -163,7 +207,7 @@ impl EngineScratch {
         self.pool_enabled = true;
     }
 
-    pub(crate) fn reset(&mut self, pid_count: usize) {
+    fn reset(&mut self, pid_count: usize) {
         self.preds.clear();
         self.preds.resize_with(pid_count, || None);
         self.pending_idle.clear();
@@ -175,17 +219,17 @@ impl EngineScratch {
 /// Live per-run simulation state. Process-indexed tables are dense
 /// (compact pid index); the pid itself is only materialized at the
 /// `GlobalPredictor` boundary.
-pub(crate) struct RunState<'a> {
-    pub(crate) manager: &'a mut Manager,
-    pub(crate) oracle: bool,
-    pub(crate) global: &'a mut GlobalPredictor,
-    pub(crate) preds: &'a mut [Option<Box<dyn IdlePredictor>>],
+struct RunState<'a> {
+    manager: &'a mut Manager,
+    oracle: bool,
+    global: &'a mut GlobalPredictor,
+    preds: &'a mut [Option<Box<dyn IdlePredictor>>],
     /// Gap lengths awaiting `on_idle_end` at each process's next access
     /// (or exit).
-    pub(crate) pending_idle: &'a mut [Option<SimDuration>],
-    pub(crate) pool: &'a mut Vec<Box<dyn IdlePredictor>>,
-    pub(crate) pool_enabled: bool,
-    pub(crate) pids: &'a [Pid],
+    pending_idle: &'a mut [Option<SimDuration>],
+    pool: &'a mut Vec<Box<dyn IdlePredictor>>,
+    pool_enabled: bool,
+    pids: &'a [Pid],
 }
 
 impl RunState<'_> {
@@ -216,7 +260,7 @@ impl RunState<'_> {
         self.global.process_exited(self.pids[pidx]);
     }
 
-    pub(crate) fn apply(&mut self, event: LifecycleEvent) {
+    fn apply(&mut self, event: LifecycleEvent) {
         match event.kind {
             LifecycleKind::Start => self.start_process(event.pidx as usize, event.time),
             LifecycleKind::Exit => self.end_process(event.pidx as usize),
@@ -224,71 +268,123 @@ impl RunState<'_> {
     }
 }
 
-/// Simulates one execution. Public for integration tests and the
-/// examples; most callers want [`evaluate_app`] or
-/// [`evaluate_prepared`].
-pub fn simulate_run(streams: &RunStreams, config: &SimConfig, manager: &mut Manager) -> RunOutcome {
-    simulate_run_observed(
-        streams,
-        config,
-        manager,
-        &mut EngineScratch::new(),
-        &mut NullObserver,
-    )
-}
+/// The energy side of the engine: charges one merged idle gap given the
+/// voted shutdown. Everything else in the loop (lifecycle, votes,
+/// verdicts, counts) is charger-independent.
+trait GapCharger {
+    /// The managed breakdown of a `gap` whose voted shutdown (if any)
+    /// came `delay` after the gap start from `source`. `base` is the
+    /// always-on breakdown of the same gap; `window` is the manager's
+    /// shallow wait-window state (§7), if it has one; `plan` is scratch
+    /// for a descent plan.
+    fn charge(
+        &mut self,
+        disk: &DiskParams,
+        window: Option<&LowPowerState>,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        base: GapBreakdown,
+        plan: &mut Vec<DescentStep>,
+    ) -> GapBreakdown;
 
-/// Adapts the per-decision audit stream back to the legacy
-/// [`GapRecord`] log consumed by `pcap inspect`.
-struct GapLogObserver<'a> {
-    log: &'a mut Vec<GapRecord>,
-}
-
-impl DecisionObserver for GapLogObserver<'_> {
-    fn on_decision(&mut self, record: DecisionRecord, _energy: &GapEnergy) {
-        self.log.push(GapRecord {
-            access_index: record.access as usize,
-            pid: record.pid,
-            start: record.at,
-            length: record.global_gap,
-            shutdown: record.shutdown_at.zip(record.shutdown_source),
-            verdict: record.verdict,
-        });
+    /// Delivers what the charger learned about the gap it last charged,
+    /// after the observer received the gap's decision.
+    fn report<O: DecisionObserver>(&self, observer: &mut O) {
+        let _ = observer;
     }
 }
 
-/// [`simulate_run`] that additionally records every merged idle gap's
-/// decision into `log` — the data behind `pcap inspect`.
-pub fn simulate_run_logged(
-    streams: &RunStreams,
-    config: &SimConfig,
-    manager: &mut Manager,
-    log: &mut Vec<GapRecord>,
-) -> RunOutcome {
-    simulate_run_observed(
-        streams,
-        config,
-        manager,
-        &mut EngineScratch::new(),
-        &mut GapLogObserver { log },
-    )
+/// The paper's two-state disk (Table 2) in closed form.
+struct TwoState;
+
+impl GapCharger for TwoState {
+    #[inline(always)]
+    fn charge(
+        &mut self,
+        disk: &DiskParams,
+        window: Option<&LowPowerState>,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        base: GapBreakdown,
+        _plan: &mut Vec<DescentStep>,
+    ) -> GapBreakdown {
+        match (shutdown, window) {
+            // §7 extension: the wait-window is spent in a shallow
+            // low-power state instead of spinning idle.
+            (Some((delay, _)), Some(shallow)) => {
+                GapBreakdown::managed_with_window_state(disk, gap, delay, shallow)
+            }
+            (Some((delay, _)), None) => GapBreakdown::managed(disk, gap, delay),
+            (None, _) => base,
+        }
+    }
 }
 
-/// [`simulate_run`] reusing a caller-owned [`EngineScratch`] — the
-/// allocation-free path used by [`evaluate_prepared`].
-pub fn simulate_run_reusing(
-    streams: &RunStreams,
-    config: &SimConfig,
-    manager: &mut Manager,
-    scratch: &mut EngineScratch,
-) -> RunOutcome {
-    simulate_run_observed(streams, config, manager, scratch, &mut NullObserver)
+/// A multi-state ladder descended by a [`LadderPolicy`].
+struct LadderCharger<'a> {
+    ladder: &'a MultiStateParams,
+    breakevens: Vec<SimDuration>,
+    policy: &'a dyn LadderPolicy,
+    stats: LadderStats,
+    bottom: Option<usize>,
 }
 
-/// Simulates one execution, delivering every idle-gap decision to
-/// `observer` (see [`DecisionObserver`]). With [`NullObserver`] the
-/// audit path compiles away entirely; this is the single engine loop
-/// behind [`simulate_run`], [`simulate_run_logged`] and
-/// [`simulate_run_reusing`].
+impl<'a> LadderCharger<'a> {
+    fn new(ladder: &'a MultiStateParams, policy: &'a dyn LadderPolicy) -> LadderCharger<'a> {
+        ladder.validate().expect("evaluate: invalid ladder");
+        LadderCharger {
+            ladder,
+            breakevens: ladder.breakevens(),
+            policy,
+            stats: LadderStats::new(ladder.states.len()),
+            bottom: None,
+        }
+    }
+}
+
+impl GapCharger for LadderCharger<'_> {
+    #[inline(always)]
+    fn charge(
+        &mut self,
+        _disk: &DiskParams,
+        window: Option<&LowPowerState>,
+        gap: SimDuration,
+        shutdown: Option<(SimDuration, VoteSource)>,
+        _base: GapBreakdown,
+        plan: &mut Vec<DescentStep>,
+    ) -> GapBreakdown {
+        let ctx = GapContext {
+            shutdown_at: shutdown.map(|(delay, _)| delay),
+            target: shutdown.map_or(0, |(delay, source)| {
+                ladder_target(source, delay, &self.breakevens)
+            }),
+            gap,
+        };
+        self.policy.plan(self.ladder, &ctx, plan);
+        let (descent, bottom) = descent_energy(self.ladder, plan, gap);
+        self.stats.record(bottom);
+        self.bottom = bottom;
+        // §7 wait-window substitution, as in the two-state charger: the
+        // spin-idle prefix before the first step is spent in the
+        // manager's shallow window state when it has one.
+        match (window, plan.first()) {
+            (Some(shallow), Some(first)) if first.at < gap => {
+                descent.substitute_window(shallow, first.at)
+            }
+            _ => descent,
+        }
+    }
+
+    fn report<O: DecisionObserver>(&self, observer: &mut O) {
+        observer.on_ladder_bottom(self.bottom);
+    }
+}
+
+/// Simulates one execution on the two-state disk, delivering every
+/// idle-gap decision to `observer` (see [`DecisionObserver`]). With
+/// [`NullObserver`](crate::NullObserver) the audit path compiles away
+/// entirely. The per-run entry point of the streaming and serving
+/// paths; [`evaluate`] covers whole prepared traces.
 ///
 /// The caller is responsible for invoking
 /// [`DecisionObserver::on_run_start`] if its sink distinguishes runs;
@@ -298,6 +394,19 @@ pub fn simulate_run_observed<O: DecisionObserver>(
     config: &SimConfig,
     manager: &mut Manager,
     scratch: &mut EngineScratch,
+    observer: &mut O,
+) -> RunOutcome {
+    simulate(streams, config, manager, scratch, &mut TwoState, observer)
+}
+
+/// The engine loop: one pass over a run's accesses, charging each gap
+/// through `charger`.
+fn simulate<C: GapCharger, O: DecisionObserver>(
+    streams: &RunStreams,
+    config: &SimConfig,
+    manager: &mut Manager,
+    scratch: &mut EngineScratch,
+    charger: &mut C,
     observer: &mut O,
 ) -> RunOutcome {
     let be = config.disk.breakeven_time();
@@ -315,6 +424,7 @@ pub fn simulate_run_observed<O: DecisionObserver>(
         pool_enabled: scratch.pool_enabled,
         pids: streams.pids(),
     };
+    let plan = &mut scratch.plan;
 
     // Pre-resolved start/exit events in time order (the root's start at
     // time zero is the first entry).
@@ -414,46 +524,36 @@ pub fn simulate_run_observed<O: DecisionObserver>(
         };
 
         // Global classification and energy. The always-on breakdown is
-        // shared by the unmanaged branch and the base-energy term.
+        // shared by the unmanaged case and the base-energy term.
         if global_gap > be {
             out.global.opportunities += 1;
         }
         let base_breakdown = GapBreakdown::unmanaged(&config.disk, global_gap);
-        let (verdict, managed_breakdown) = match shutdown {
+        let verdict = match shutdown {
             Some((at, source)) => {
-                let off = gap_end - at;
-                let verdict = if off > be {
+                if gap_end - at > be {
                     out.global.record_hit(source);
                     GapVerdict::Hit
                 } else {
                     out.global.record_miss(source);
                     GapVerdict::Miss
-                };
-                let breakdown = match &window_state {
-                    // §7 extension: the wait-window is spent in a
-                    // shallow low-power state instead of spinning idle.
-                    Some(shallow) => GapBreakdown::managed_with_window_state(
-                        &config.disk,
-                        global_gap,
-                        at - completion,
-                        shallow,
-                    ),
-                    None => GapBreakdown::managed(&config.disk, global_gap, at - completion),
-                };
-                out.energy.add_gap(global_gap > be, breakdown);
-                (verdict, breakdown)
+                }
             }
-            None => {
-                let verdict = if global_gap > be {
-                    out.global.not_predicted += 1;
-                    GapVerdict::NotPredicted
-                } else {
-                    GapVerdict::Short
-                };
-                out.energy.add_gap(global_gap > be, base_breakdown);
-                (verdict, base_breakdown)
+            None if global_gap > be => {
+                out.global.not_predicted += 1;
+                GapVerdict::NotPredicted
             }
+            None => GapVerdict::Short,
         };
+        let managed_breakdown = charger.charge(
+            &config.disk,
+            window_state.as_ref(),
+            global_gap,
+            shutdown.map(|(at, source)| (at - completion, source)),
+            base_breakdown,
+            plan,
+        );
+        out.energy.add_gap(global_gap > be, managed_breakdown);
         out.base_energy.add_gap(global_gap > be, base_breakdown);
 
         if O::ENABLED {
@@ -483,6 +583,7 @@ pub fn simulate_run_observed<O: DecisionObserver>(
                     base: base_breakdown,
                 },
             );
+            charger.report(observer);
         }
     }
 
@@ -511,7 +612,7 @@ pub fn simulate_run_observed<O: DecisionObserver>(
 /// the first instant at which every live process's vote is ready (and
 /// the source of the latest vote), or `None` if the disk must keep
 /// spinning until the gap ends.
-pub(crate) fn resolve_gap_voting(
+fn resolve_gap_voting(
     state: &mut RunState<'_>,
     lifecycle: &[LifecycleEvent],
     li: &mut usize,
@@ -549,11 +650,131 @@ pub(crate) fn resolve_gap_voting(
     shutdown
 }
 
+/// Evaluates one power manager over a prepared trace — the one driver
+/// behind every prepared-trace evaluation.
+///
+/// * `ladder`: `None` charges gaps on the two-state disk; `Some((params,
+///   policy))` descends the ladder `params` under `policy` and returns
+///   its [`LadderStats`] beside the report.
+/// * `observer` receives every decision (in run order, after
+///   [`DecisionObserver::on_run_start`]); with
+///   [`NullObserver`](crate::NullObserver) the audit path compiles
+///   away.
+/// * `pipeline` gets one `eval:{app}×{manager}` span around the run
+///   loop, an `eval_us` sample of its duration and a `runs` counter
+///   increment per run; with [`pcap_obs::NullPipeline`] it compiles
+///   away.
+///
+/// `config` may differ from the preparation config in predictor-only
+/// parameters (the ablation-sweep use case).
+///
+/// # Panics
+///
+/// Panics if `config` disagrees with the preparation config on cache
+/// or disk parameters (the streams would be stale), or if the ladder
+/// fails [`MultiStateParams::validate`].
+pub fn evaluate<O: DecisionObserver, P: pcap_obs::PipelineObserver>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    ladder: Option<(&MultiStateParams, &dyn LadderPolicy)>,
+    observer: &mut O,
+    pipeline: &P,
+) -> (AppReport, Option<LadderStats>) {
+    assert!(
+        prepared.matches(config),
+        "evaluate: config changes cache/disk parameters; rebuild the PreparedTrace"
+    );
+    let span = P::ENABLED.then(|| {
+        let name = format!("eval:{}×{}", prepared.app(), kind.label());
+        let started = std::time::Instant::now();
+        pipeline.span_begin(&name);
+        (name, started)
+    });
+    let evaluated = match ladder {
+        None => (
+            evaluate_runs(prepared, config, kind, &mut TwoState, observer),
+            None,
+        ),
+        Some((params, policy)) => {
+            let mut charger = LadderCharger::new(params, policy);
+            let report = evaluate_runs(prepared, config, kind, &mut charger, observer);
+            (report, Some(charger.stats))
+        }
+    };
+    if let Some((name, started)) = span {
+        pipeline.span_end(&name);
+        pipeline.observe_us("eval_us", started.elapsed().as_micros() as u64);
+        pipeline.counter_add("runs", prepared.len() as u64);
+    }
+    evaluated
+}
+
+fn evaluate_runs<C: GapCharger, O: DecisionObserver>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    charger: &mut C,
+    observer: &mut O,
+) -> AppReport {
+    let mut manager = kind.manager(config);
+    let mut report = AppReport {
+        app: Arc::clone(prepared.app()),
+        manager: kind.label(),
+        local: PredictionCounts::default(),
+        global: PredictionCounts::default(),
+        energy: EnergyBreakdown::default(),
+        base_energy: EnergyBreakdown::default(),
+        table_entries: None,
+        table_aliases: None,
+    };
+    let mut scratch = EngineScratch::new();
+    for (run, streams) in prepared.streams().iter().enumerate() {
+        observer.on_run_start(run as u32);
+        let outcome = simulate(
+            streams,
+            config,
+            &mut manager,
+            &mut scratch,
+            charger,
+            observer,
+        );
+        report.local += outcome.local;
+        report.global += outcome.global;
+        report.energy += outcome.energy;
+        report.base_energy += outcome.base_energy;
+        manager.on_run_end();
+    }
+    report.table_entries = manager.table_entries();
+    report.table_aliases = manager.table_aliases();
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{AuditCollector, NullObserver};
+    use pcap_disk::{lambda_bounds, LambdaLadder, OracleLadder, PredictiveJump, SkiRental};
+    use pcap_obs::NullPipeline;
     use pcap_trace::{TraceRun, TraceRunBuilder};
     use pcap_types::{Fd, FileId, IoKind, Pc};
+    use pcap_workload::NoisyVotes;
+
+    /// One execution on the two-state disk with a fresh scratch and no
+    /// observer.
+    fn simulate_fresh(
+        streams: &RunStreams,
+        config: &SimConfig,
+        manager: &mut Manager,
+    ) -> RunOutcome {
+        simulate_run_observed(
+            streams,
+            config,
+            manager,
+            &mut EngineScratch::new(),
+            &mut NullObserver,
+        )
+    }
 
     /// One process, fresh 1-page reads at the given seconds, exit at
     /// `end`.
@@ -575,18 +796,18 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn evaluate(run: TraceRun, kind: PowerManagerKind) -> RunOutcome {
+    fn outcome(run: TraceRun, kind: PowerManagerKind) -> RunOutcome {
         let config = SimConfig::paper();
         let streams = RunStreams::build(&run, &config);
         let mut manager = kind.manager(&config);
-        simulate_run(&streams, &config, &mut manager)
+        simulate_fresh(&streams, &config, &mut manager)
     }
 
     #[test]
     fn oracle_hits_every_opportunity() {
         // Gaps ≈ 1 s, 20 s, 1 s, 40 s (terminal).
         let run = run_with_gaps(&[1.0, 2.0, 22.0, 23.0], 63.0);
-        let out = evaluate(run, PowerManagerKind::Oracle);
+        let out = outcome(run, PowerManagerKind::Oracle);
         assert_eq!(out.global.opportunities, 2);
         assert_eq!(out.global.hits(), 2);
         assert_eq!(out.global.misses(), 0);
@@ -599,7 +820,7 @@ mod tests {
         // Gaps ≈ 20 s (hit: off ≈ 10 s), 8 s (not predicted: timer
         // never fires), 12 s terminal (miss: off ≈ 2 s < breakeven).
         let run = run_with_gaps(&[1.0, 21.0, 29.0], 41.0);
-        let out = evaluate(run, PowerManagerKind::Timeout);
+        let out = outcome(run, PowerManagerKind::Timeout);
         assert_eq!(out.global.opportunities, 3);
         assert_eq!(out.global.hits(), 1);
         assert_eq!(out.global.misses(), 1);
@@ -613,7 +834,7 @@ mod tests {
         let execute = |manager: &mut Manager| {
             let run = run_with_gaps(&[1.0, 1.2, 1.4], 31.4);
             let streams = RunStreams::build(&run, &config);
-            let out = simulate_run(&streams, &config, manager);
+            let out = simulate_fresh(&streams, &config, manager);
             manager.on_run_end();
             out
         };
@@ -630,7 +851,7 @@ mod tests {
     #[test]
     fn energy_breakdown_accounts_every_gap() {
         let run = run_with_gaps(&[1.0, 2.0, 22.0], 62.0);
-        let out = evaluate(run, PowerManagerKind::Timeout);
+        let out = outcome(run, PowerManagerKind::Timeout);
         // Base energy has no power cycles and no saving.
         assert_eq!(out.base_energy.power_cycle.0, 0.0);
         assert!(out.energy.total().0 < out.base_energy.total().0);
@@ -661,12 +882,12 @@ mod tests {
         let config = SimConfig::paper();
         let streams = RunStreams::build(&run, &config);
         let mut manager = PowerManagerKind::Timeout.manager(&config);
-        let out = simulate_run(&streams, &config, &mut manager);
+        let out = simulate_fresh(&streams, &config, &mut manager);
         assert_eq!(out.global.hits(), 1);
         // Off interval = 59 s − 13 s = 46 s; energy must reflect a
         // 13−1−service ≈ 12 s spinning prefix. Compare with a no-fork
         // run: its shutdown at 11 s spins ~2 s less.
-        let no_fork = evaluate(run_with_gaps(&[1.0], 60.0), PowerManagerKind::Timeout);
+        let no_fork = outcome(run_with_gaps(&[1.0], 60.0), PowerManagerKind::Timeout);
         assert!(out.energy.idle_long.0 > no_fork.energy.idle_long.0 + 1.0);
     }
 
@@ -703,7 +924,7 @@ mod tests {
         let config = SimConfig::paper();
         let streams = RunStreams::build(&run, &config);
         let mut manager = PowerManagerKind::Timeout.manager(&config);
-        let out = simulate_run(&streams, &config, &mut manager);
+        let out = simulate_fresh(&streams, &config, &mut manager);
         // Shutdown at max(root: 1 s + 10 s, helper: gone) = 11 s.
         assert_eq!(out.global.hits(), 1);
     }
@@ -734,28 +955,30 @@ mod tests {
     }
 
     #[test]
-    fn gap_log_matches_counts() {
+    fn decision_stream_matches_counts() {
         let run = run_with_gaps(&[1.0, 21.0, 29.0], 41.0);
         let config = SimConfig::paper();
         let streams = RunStreams::build(&run, &config);
         let mut manager = PowerManagerKind::Timeout.manager(&config);
-        let mut log = Vec::new();
-        let out = simulate_run_logged(&streams, &config, &mut manager, &mut log);
+        let mut collector = AuditCollector::new();
+        let out = simulate_run_observed(
+            &streams,
+            &config,
+            &mut manager,
+            &mut EngineScratch::new(),
+            &mut collector,
+        );
+        let log = collector.records();
         assert_eq!(log.len(), streams.accesses.len());
-        let hits = log.iter().filter(|g| g.verdict == GapVerdict::Hit).count();
-        let misses = log.iter().filter(|g| g.verdict == GapVerdict::Miss).count();
-        let np = log
-            .iter()
-            .filter(|g| g.verdict == GapVerdict::NotPredicted)
-            .count();
-        assert_eq!(hits as u64, out.global.hits());
-        assert_eq!(misses as u64, out.global.misses());
-        assert_eq!(np as u64, out.global.not_predicted);
+        let count = |verdict| log.iter().filter(|g| g.verdict == verdict).count() as u64;
+        assert_eq!(count(GapVerdict::Hit), out.global.hits());
+        assert_eq!(count(GapVerdict::Miss), out.global.misses());
+        assert_eq!(count(GapVerdict::NotPredicted), out.global.not_predicted);
         // The hit gap carries its shutdown instant and source.
         let hit = log.iter().find(|g| g.verdict == GapVerdict::Hit).unwrap();
-        let (at, source) = hit.shutdown.expect("hit has a shutdown");
-        assert_eq!(source, VoteSource::Primary);
-        assert!(at > hit.start);
+        let at = hit.shutdown_at.expect("hit has a shutdown");
+        assert_eq!(hit.shutdown_source, Some(VoteSource::Primary));
+        assert!(at > hit.at);
     }
 
     #[test]
@@ -803,7 +1026,7 @@ mod tests {
         assert_eq!(flush.pid, Pid(2), "attributed to the dirtier");
         // And the simulation completes with consistent counts.
         let mut manager = PowerManagerKind::PCAP.manager(&config);
-        let out = simulate_run(&streams, &config, &mut manager);
+        let out = simulate_fresh(&streams, &config, &mut manager);
         assert!(out.global.opportunities >= 2);
         assert!(out.base_energy.total().0 > 0.0);
     }
@@ -838,12 +1061,234 @@ mod tests {
         // Train: single access then long gap.
         let train = run_with_gaps(&[1.0], 31.0);
         let streams = RunStreams::build(&train, &config);
-        simulate_run(&streams, &config, &mut manager);
+        simulate_fresh(&streams, &config, &mut manager);
         manager.on_run_end();
         // Replay: the same PC, but the next access comes 0.5 s later.
         let replay = run_with_gaps(&[1.0, 1.5], 3.0);
         let streams = RunStreams::build(&replay, &config);
-        let out = simulate_run(&streams, &config, &mut manager);
+        let out = simulate_fresh(&streams, &config, &mut manager);
         assert_eq!(out.global.misses(), 0, "wait-window must filter");
+    }
+
+    /// Five reads with 20 s and 30 s gaps, then a 40 s terminal gap.
+    fn trace_with_gaps(runs: usize) -> ApplicationTrace {
+        let mut trace = ApplicationTrace::new("ms-test");
+        for r in 0..runs {
+            let mut b = TraceRunBuilder::new(Pid(1));
+            for (i, t) in [1.0, 1.2, 21.2, 22.0, 52.0].iter().enumerate() {
+                b.io(
+                    SimTime::from_secs_f64(t + r as f64 * 0.01),
+                    Pid(1),
+                    Pc(0x100 + (i as u32 % 3) * 0x10),
+                    IoKind::Read,
+                    Fd(3),
+                    FileId(1),
+                    (i as u64) * 4096,
+                    4096,
+                );
+            }
+            b.exit(SimTime::from_secs_f64(92.0), Pid(1));
+            trace.runs.push(b.finish().unwrap());
+        }
+        trace
+    }
+
+    /// [`evaluate`] through the ladder charger, unobserved.
+    fn ladder_eval(
+        prepared: &PreparedTrace,
+        config: &SimConfig,
+        kind: PowerManagerKind,
+        ladder: &MultiStateParams,
+        policy: &dyn LadderPolicy,
+    ) -> (AppReport, LadderStats) {
+        let (report, stats) = evaluate(
+            prepared,
+            config,
+            kind,
+            Some((ladder, policy)),
+            &mut NullObserver,
+            &NullPipeline,
+        );
+        (
+            report,
+            stats.expect("a ladder evaluation returns its stats"),
+        )
+    }
+
+    /// Gap energy: the part a descent policy can influence.
+    fn gap(report: &AppReport) -> f64 {
+        report.energy.total().0 - report.energy.busy.0
+    }
+
+    #[test]
+    fn single_state_ladder_is_bitwise_identical_to_the_two_state_engine() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(3);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::from_disk(&config.disk);
+        for kind in [
+            PowerManagerKind::Timeout,
+            PowerManagerKind::Oracle,
+            PowerManagerKind::PCAP,
+            PowerManagerKind::LT,
+            PowerManagerKind::MultiStatePcap,
+        ] {
+            let legacy = evaluate_prepared(&prepared, &config, kind);
+            let (multi, _) = ladder_eval(&prepared, &config, kind, &ladder, &PredictiveJump);
+            let a = serde_json::to_string(&legacy).unwrap();
+            let b = serde_json::to_string(&multi).unwrap();
+            assert_eq!(a, b, "kind {kind:?} diverged");
+        }
+    }
+
+    #[test]
+    fn two_state_evaluation_returns_no_ladder_stats() {
+        let config = SimConfig::paper();
+        let prepared = PreparedTrace::build(&trace_with_gaps(1), &config);
+        let (report, stats) = evaluate(
+            &prepared,
+            &config,
+            PowerManagerKind::PCAP,
+            None,
+            &mut NullObserver,
+            &NullPipeline,
+        );
+        assert_eq!(
+            report,
+            evaluate_prepared(&prepared, &config, PowerManagerKind::PCAP)
+        );
+        assert!(stats.is_none());
+    }
+
+    #[test]
+    fn ladder_stats_account_every_gap() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(2);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let ski = SkiRental::new(&ladder);
+        let (_, stats) = ladder_eval(&prepared, &config, PowerManagerKind::PCAP, &ladder, &ski);
+        let accesses: usize = prepared.streams().iter().map(|s| s.accesses.len()).sum();
+        assert_eq!(stats.total_gaps(), accesses as u64);
+        // The 20 s and 30 s gaps descend past the first rung.
+        assert!(stats.bottom_counts.iter().sum::<u64>() > 0);
+    }
+
+    #[test]
+    fn lambda_one_is_bitwise_ski_rental_through_the_engine() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(3);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let ski = SkiRental::new(&ladder);
+        let one = LambdaLadder::new(&ladder, 1.0);
+        for kind in [
+            PowerManagerKind::PCAP,
+            PowerManagerKind::Timeout,
+            PowerManagerKind::MultiStatePcap,
+        ] {
+            let a = ladder_eval(&prepared, &config, kind, &ladder, &ski);
+            let b = ladder_eval(&prepared, &config, kind, &ladder, &one);
+            assert_eq!(
+                serde_json::to_string(&a.0).unwrap(),
+                serde_json::to_string(&b.0).unwrap(),
+                "λ=1 diverged from ski-rental under {kind:?}"
+            );
+            assert_eq!(a.1.bottom_counts, b.1.bottom_counts);
+            assert_eq!(a.1.idle_gaps, b.1.idle_gaps);
+        }
+    }
+
+    #[test]
+    fn lambda_ratio_respects_the_envelope_even_under_injected_errors() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(4);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let kind = PowerManagerKind::PCAP;
+        let (oracle, _) = ladder_eval(&prepared, &config, kind, &ladder, &OracleLadder);
+        let opt = gap(&oracle);
+        for lambda in [0.0, 0.5, 1.0] {
+            let policy = LambdaLadder::new(&ladder, lambda);
+            let bound = lambda_bounds(&ladder, lambda).robustness;
+            for rate in [0.0, 0.5, 1.0] {
+                let noisy = NoisyVotes::new(&policy, rate, 0xC0FFEE);
+                let (out, _) = ladder_eval(&prepared, &config, kind, &ladder, &noisy);
+                let ratio = gap(&out) / opt;
+                assert!(
+                    ratio >= 1.0 - 1e-9,
+                    "λ={lambda} e={rate}: beat the clairvoyant oracle"
+                );
+                assert!(
+                    ratio <= bound * (1.0 + 1e-9),
+                    "λ={lambda} e={rate}: ratio {ratio} exceeds robustness {bound}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn noisy_votes_evaluate_deterministically_through_the_engine() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(3);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let policy = LambdaLadder::new(&ladder, 0.5);
+        let kind = PowerManagerKind::PCAP;
+        let eval = |seed: u64, rate: f64| {
+            let noisy = NoisyVotes::new(&policy, rate, seed);
+            let (out, _) = ladder_eval(&prepared, &config, kind, &ladder, &noisy);
+            serde_json::to_string(&out).unwrap()
+        };
+        assert_eq!(eval(9, 0.5), eval(9, 0.5), "same seed must replay bitwise");
+        // Rate 0 is transparent: bitwise the bare policy, any seed.
+        let (bare, _) = ladder_eval(&prepared, &config, kind, &ladder, &policy);
+        assert_eq!(eval(1, 0.0), serde_json::to_string(&bare).unwrap());
+    }
+
+    #[test]
+    fn oracle_policy_never_costs_more_than_predictive_or_ski() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(3);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let ski = SkiRental::new(&ladder);
+        let kind = PowerManagerKind::PCAP;
+        let (oracle, _) = ladder_eval(&prepared, &config, kind, &ladder, &OracleLadder);
+        let (pred, _) = ladder_eval(&prepared, &config, kind, &ladder, &PredictiveJump);
+        let (rental, _) = ladder_eval(&prepared, &config, kind, &ladder, &ski);
+        assert!(gap(&oracle) <= gap(&pred) + 1e-9);
+        assert!(gap(&oracle) <= gap(&rental) + 1e-9);
+    }
+
+    #[test]
+    fn audit_multistate_reconciles_and_aligns_bottom_outs() {
+        let config = SimConfig::paper();
+        let trace = trace_with_gaps(2);
+        let prepared = PreparedTrace::build(&trace, &config);
+        let ladder = MultiStateParams::mobile_ata();
+        let kind = PowerManagerKind::PCAP;
+        let mut collector = AuditCollector::new();
+        let (report, stats) = evaluate(
+            &prepared,
+            &config,
+            kind,
+            Some((&ladder, &PredictiveJump)),
+            &mut collector,
+            &NullPipeline,
+        );
+        let stats = stats.expect("ladder stats");
+        let audit = collector.finish(report);
+        assert_eq!(audit.ladder_bottoms.len(), audit.records.len());
+        assert_eq!(
+            stats.total_gaps(),
+            audit.ladder_bottoms.len() as u64,
+            "stats cover every audited decision"
+        );
+        let (plain, plain_stats) = ladder_eval(&prepared, &config, kind, &ladder, &PredictiveJump);
+        assert_eq!(audit.report, plain, "observer must not perturb");
+        assert_eq!(audit.audit_energy.energy, plain.energy);
+        assert_eq!(audit.audit_energy.base_energy, plain.base_energy);
+        assert_eq!(stats, plain_stats);
     }
 }

@@ -4,15 +4,15 @@
 //! accesses, serialized completions, idle gaps, lifetimes, lifecycle —
 //! depends only on `(trace, cache config, disk config)`, never on the
 //! power manager under test. [`PreparedTrace`] computes those
-//! [`RunStreams`] exactly once per trace, and [`evaluate_prepared`]
-//! borrows them immutably, so a 10-manager comparison grid pays for
+//! [`RunStreams`] exactly once per trace, and [`evaluate`] borrows
+//! them immutably, so a 10-manager comparison grid pays for
 //! preparation once instead of ten times. Results are byte-identical
 //! to the legacy per-manager path ([`evaluate_app`](crate::evaluate_app) is now a thin
 //! wrapper that prepares and evaluates); `tests/determinism.rs` pins
 //! that equivalence.
 
-use crate::audit::{evaluate_prepared_observed, NullObserver};
-use crate::engine::AppReport;
+use crate::audit::NullObserver;
+use crate::engine::{evaluate, AppReport};
 use crate::factory::PowerManagerKind;
 use crate::streams::RunStreams;
 use crate::sweep::SweepRunner;
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// every run's [`RunStreams`], built once.
 ///
 /// The builder records the cache and disk parameters it prepared
-/// under; [`evaluate_prepared`] asserts the evaluation config matches
+/// under; [`evaluate`] asserts the evaluation config matches
 /// them, so stream-relevant config changes cannot silently reuse stale
 /// streams (predictor-only knobs — timeouts, table sizes, wait
 /// windows — may differ freely).
@@ -136,8 +136,10 @@ impl PreparedTrace {
     }
 }
 
-/// Evaluates one power manager against an already-prepared trace —
-/// the shared-streams core of [`evaluate_app`](crate::evaluate_app).
+/// Evaluates one power manager against an already-prepared trace on
+/// the two-state disk, with no observer attached — [`evaluate`] with
+/// its defaults, and the shared-streams core of
+/// [`evaluate_app`](crate::evaluate_app).
 ///
 /// `config` may differ from the preparation config in predictor-only
 /// parameters (that is the ablation-sweep use case), but must agree on
@@ -152,29 +154,15 @@ pub fn evaluate_prepared(
     config: &SimConfig,
     kind: PowerManagerKind,
 ) -> AppReport {
-    evaluate_prepared_observed(prepared, config, kind, &mut NullObserver)
-}
-
-/// [`evaluate_prepared`] with a [`pcap_obs::PipelineObserver`] attached
-/// (no decision-level audit): the profiling path of `pcap profile`.
-///
-/// # Panics
-///
-/// Panics if `config` disagrees with the preparation config on cache
-/// or disk parameters (the streams would be stale).
-pub fn evaluate_prepared_traced<P: pcap_obs::PipelineObserver>(
-    prepared: &PreparedTrace,
-    config: &SimConfig,
-    kind: PowerManagerKind,
-    pipeline: &P,
-) -> AppReport {
-    crate::audit::evaluate_prepared_instrumented(
+    evaluate(
         prepared,
         config,
         kind,
+        None,
         &mut NullObserver,
-        pipeline,
+        &pcap_obs::NullPipeline,
     )
+    .0
 }
 
 #[cfg(test)]

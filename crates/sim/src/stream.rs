@@ -16,9 +16,8 @@
 //!   the seed of [`pcap_workload::device_seed`]; cohort 0 uses the base
 //!   seed verbatim, so a six-device fleet at the golden seed is the
 //!   legacy six-app grid.
-//! * Per device, the evaluation replays
-//!   [`evaluate_prepared`](crate::evaluate_prepared)'s accumulation
-//!   order exactly (run order, `local → global → energy → base_energy`,
+//! * Per device, the evaluation replays [`evaluate`](crate::evaluate)'s
+//!   accumulation order exactly (run order, `local → global → energy → base_energy`,
 //!   table stats read after the last run), so every
 //!   [`DeviceOutcome`] is byte-identical to the prepare-once report for
 //!   the same trace.
@@ -44,20 +43,16 @@ use std::sync::Arc;
 /// order — are identical for every `--jobs` value.
 pub const FLEET_CHUNK: u64 = 1024;
 
-/// One worker's reusable pipeline state: a file cache, one stream
-/// buffer, one power manager and one engine scratch, all recycled
-/// run after run and device after device.
+/// One worker's reusable pipeline state: a [`ShardEvaluator`] (file
+/// cache, stream buffer, engine scratch) plus one power manager, all
+/// recycled run after run and device after device.
 ///
 /// After a warm-up device per app shape, the filter and evaluate
 /// stages run allocation-free: every buffer is cleared, never dropped
 /// (`tests/zero_alloc_stream.rs` pins this with a counting allocator).
 pub struct StreamWorker {
-    config: SimConfig,
-    kind: PowerManagerKind,
     manager: Manager,
-    cache: FileCache,
-    streams: RunStreams,
-    scratch: EngineScratch,
+    evaluator: ShardEvaluator,
 }
 
 impl StreamWorker {
@@ -69,24 +64,14 @@ impl StreamWorker {
     /// evaluates, which is what makes recycling sound (pooled boxes
     /// keep handles to this manager's shared state, reset per device).
     pub fn new(config: &SimConfig, kind: PowerManagerKind) -> StreamWorker {
-        let manager = kind.manager(config);
-        let mut scratch = EngineScratch::new();
+        let mut evaluator = ShardEvaluator::new(config);
         if kind.recyclable_predictors() {
-            scratch.enable_predictor_pool();
+            evaluator.scratch.enable_predictor_pool();
         }
         StreamWorker {
-            config: config.clone(),
-            kind,
-            manager,
-            cache: FileCache::new(config.cache.clone()),
-            streams: RunStreams::empty(),
-            scratch,
+            manager: kind.manager(config),
+            evaluator,
         }
-    }
-
-    /// The manager kind this worker evaluates.
-    pub fn kind(&self) -> PowerManagerKind {
-        self.kind
     }
 
     /// Starts a new device: resets the manager's shared prediction
@@ -101,22 +86,14 @@ impl StreamWorker {
     /// simulates, and ends the run on the manager — the exact per-run
     /// sequence of the prepare-once evaluator.
     pub fn evaluate_run(&mut self, run: &TraceRun) -> RunOutcome {
-        self.streams.rebuild(run, &self.config, &mut self.cache);
-        let outcome = simulate_run_observed(
-            &self.streams,
-            &self.config,
-            &mut self.manager,
-            &mut self.scratch,
-            &mut NullObserver,
-        );
-        self.manager.on_run_end();
-        outcome
+        self.evaluator
+            .evaluate_run_observed(run, &mut self.manager, &mut NullObserver)
     }
 
     /// Cache-filtered disk accesses of the most recent
     /// [`evaluate_run`](Self::evaluate_run).
     pub fn last_run_accesses(&self) -> usize {
-        self.streams.accesses.len()
+        self.evaluator.last_run_accesses()
     }
 
     /// Ends a device: reads the manager's table statistics (exactly
@@ -144,14 +121,7 @@ impl StreamWorker {
         let runs = max_runs.map_or(pop.runs(device), |cap| pop.runs(device).min(cap));
         let mut out = DeviceOutcome {
             device,
-            runs: 0,
-            accesses: 0,
-            local: PredictionCounts::default(),
-            global: PredictionCounts::default(),
-            energy: EnergyBreakdown::default(),
-            base_energy: EnergyBreakdown::default(),
-            table_entries: None,
-            table_aliases: None,
+            ..DeviceOutcome::default()
         };
         for run in 0..runs {
             let trace_run = pop.generate_run(device, run)?;
@@ -161,7 +131,7 @@ impl StreamWorker {
             out.energy += outcome.energy;
             out.base_energy += outcome.base_energy;
             out.runs += 1;
-            out.accesses += self.streams.accesses.len() as u64;
+            out.accesses += self.last_run_accesses() as u64;
         }
         let (entries, aliases) = self.finish_device();
         out.table_entries = entries;
@@ -170,14 +140,15 @@ impl StreamWorker {
     }
 }
 
-/// Per-shard online evaluator: the recycled rebuild/simulate state of a
-/// [`StreamWorker`] *without* a manager — the serving layer owns one
-/// [`Manager`] per live device (predictor tables must persist across a
-/// device's runs even when other devices' runs interleave between them
-/// on the same shard).
+/// Recycled rebuild/simulate state *without* a manager: the core of a
+/// [`StreamWorker`], and the per-shard online evaluator of the serving
+/// layer, which owns one [`Manager`] per live device (predictor tables
+/// must persist across a device's runs even when other devices' runs
+/// interleave between them on the same shard).
 ///
-/// Unlike [`StreamWorker::new`], the predictor pool is never enabled
-/// here: pooled predictor boxes hold handles into one specific
+/// [`ShardEvaluator::new`] never enables the predictor pool (only
+/// [`StreamWorker::new`] does, for its own manager): pooled predictor
+/// boxes hold handles into one specific
 /// manager's shared table, which is unsound when every call may bring a
 /// different manager. Per-run predictor boxes are instead allocated
 /// fresh, exactly as [`crate::audit_prepared`] does — which is also
@@ -199,11 +170,6 @@ impl ShardEvaluator {
             streams: RunStreams::empty(),
             scratch: EngineScratch::new(),
         }
-    }
-
-    /// The simulation configuration this evaluator was built for.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Streams one run of one device through filter and evaluation
@@ -240,7 +206,7 @@ impl ShardEvaluator {
 
 /// One device's aggregate evaluation — the streaming equivalent of an
 /// [`AppReport`], kept `Copy` so fleet folding never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct DeviceOutcome {
     /// Fleet index of the device.
     pub device: u64,
@@ -540,10 +506,16 @@ mod tests {
             }
         }
         for (d, collector) in collectors.into_iter().enumerate() {
-            let (records, metrics, _, energy) = collector.finish();
-            assert_eq!(records, offline[d].records, "device {d} decision stream");
-            assert_eq!(metrics, offline[d].metrics, "device {d} metrics");
-            assert_eq!(energy, offline[d].audit_energy, "device {d} energy");
+            let online = collector.finish(offline[d].report.clone());
+            assert_eq!(
+                online.records, offline[d].records,
+                "device {d} decision stream"
+            );
+            assert_eq!(online.metrics, offline[d].metrics, "device {d} metrics");
+            assert_eq!(
+                online.audit_energy, offline[d].audit_energy,
+                "device {d} energy"
+            );
         }
     }
 

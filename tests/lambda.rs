@@ -18,8 +18,9 @@ use pcap_disk::{
     MultiStateParams, OracleLadder, SkiRental, Watts,
 };
 use pcap_dpm::prelude::*;
+use pcap_obs::NullPipeline;
 use pcap_report::{Workbench, GOLDEN_SEED};
-use pcap_sim::evaluate_prepared_multistate;
+use pcap_sim::{evaluate, NullObserver, PreparedTrace};
 use pcap_types::SimDuration;
 use pcap_workload::{adversarial_gaps, worst_case_search, NoisyVotes};
 use proptest::prelude::*;
@@ -207,6 +208,26 @@ fn adversary_attains_the_supremum_on_the_reference_ladder() {
     }
 }
 
+/// One PCAP evaluation of `prepared` through the ladder charger.
+fn ladder_report(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    ladder: &MultiStateParams,
+    policy: &dyn LadderPolicy,
+) -> AppReport {
+    let kind = PowerManagerKind::PCAP;
+    let ladder = Some((ladder, policy));
+    evaluate(
+        prepared,
+        config,
+        kind,
+        ladder,
+        &mut NullObserver,
+        &NullPipeline,
+    )
+    .0
+}
+
 /// (c) The six paper applications through the full multi-state engine,
 /// at every acceptance error rate: aggregate gap-energy ratios stay
 /// inside the robustness envelope for every λ, and λ = 1 at e = 0
@@ -217,22 +238,21 @@ fn six_apps_across_error_rates_respect_the_envelope() {
         Workbench::generate_par(GOLDEN_SEED, SimConfig::paper(), 0).expect("workloads generate");
     let ladder = MultiStateParams::mobile_ata();
     let ski = SkiRental::new(&ladder);
-    let kind = PowerManagerKind::PCAP;
     let gap_energy = |r: &pcap_sim::AppReport| r.energy.total().0 - r.energy.busy.0;
     for (trace_idx, trace) in bench.traces().iter().enumerate() {
         let prepared = bench.prepared(trace_idx);
         let config = bench.config();
-        let oracle = evaluate_prepared_multistate(prepared, config, kind, &ladder, &OracleLadder);
-        let opt = gap_energy(&oracle.report);
-        let rental = evaluate_prepared_multistate(prepared, config, kind, &ladder, &ski);
-        let ski_json = serde_json::to_string(&rental.report).expect("report serializes");
+        let oracle = ladder_report(prepared, config, &ladder, &OracleLadder);
+        let opt = gap_energy(&oracle);
+        let rental = ladder_report(prepared, config, &ladder, &ski);
+        let ski_json = serde_json::to_string(&rental).expect("report serializes");
         for lambda in [0.0, 0.5, 1.0] {
             let policy = LambdaLadder::new(&ladder, lambda);
             let bound = lambda_bounds(&ladder, lambda).robustness;
             for rate in [0.0, 0.1, 0.5, 1.0] {
                 let noisy = NoisyVotes::new(&policy, rate, 0xACCE55);
-                let out = evaluate_prepared_multistate(prepared, config, kind, &ladder, &noisy);
-                let ratio = gap_energy(&out.report) / opt;
+                let out = ladder_report(prepared, config, &ladder, &noisy);
+                let ratio = gap_energy(&out) / opt;
                 assert!(
                     ratio >= 1.0 - 1e-9,
                     "{} λ={lambda} e={rate}: beat the clairvoyant oracle ({ratio})",
@@ -244,7 +264,7 @@ fn six_apps_across_error_rates_respect_the_envelope() {
                     trace.app
                 );
                 if lambda == 1.0 && rate == 0.0 {
-                    let json = serde_json::to_string(&out.report).expect("report serializes");
+                    let json = serde_json::to_string(&out).expect("report serializes");
                     assert_eq!(
                         json, ski_json,
                         "{}: λ=1 must be bitwise ski-rental",
@@ -265,7 +285,6 @@ fn lambda_trades_consistency_for_robustness_on_real_traces() {
     let bench =
         Workbench::generate_par(GOLDEN_SEED, SimConfig::paper(), 0).expect("workloads generate");
     let ladder = MultiStateParams::mobile_ata();
-    let kind = PowerManagerKind::PCAP;
     let gap_energy = |r: &pcap_sim::AppReport| r.energy.total().0 - r.energy.busy.0;
     let full = LambdaLadder::new(&ladder, 0.0);
     let none = LambdaLadder::new(&ladder, 1.0);
@@ -276,9 +295,7 @@ fn lambda_trades_consistency_for_robustness_on_real_traces() {
         let config = bench.config();
         let eval = |policy: &LambdaLadder, rate: f64| {
             let noisy = NoisyVotes::new(policy, rate, 0xBAD5EED);
-            gap_energy(
-                &evaluate_prepared_multistate(prepared, config, kind, &ladder, &noisy).report,
-            )
+            gap_energy(&ladder_report(prepared, config, &ladder, &noisy))
         };
         trusting_clean += eval(&full, 0.0);
         ski_clean += eval(&none, 0.0);

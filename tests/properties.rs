@@ -390,9 +390,16 @@ proptest! {
             PowerManagerKind::Oracle,
         ] {
             let mut manager = kind.manager(&config);
-            let mut log = Vec::new();
-            let out = pcap_sim::simulate_run_logged(&streams, &config, &mut manager, &mut log);
-            let shutdowns = log.iter().filter(|g| g.shutdown.is_some()).count() as u64;
+            let mut collector = pcap_sim::AuditCollector::new();
+            let out = pcap_sim::simulate_run_observed(
+                &streams,
+                &config,
+                &mut manager,
+                &mut pcap_sim::EngineScratch::new(),
+                &mut collector,
+            );
+            let log = collector.records();
+            let shutdowns = log.iter().filter(|g| g.shutdown_at.is_some()).count() as u64;
             prop_assert_eq!(
                 out.global.hits() + out.global.misses(),
                 shutdowns,
@@ -606,14 +613,15 @@ proptest! {
             PowerManagerKind::MultiStatePcap,
         ] {
             let legacy = pcap_sim::evaluate_prepared(&prepared, &config, kind);
-            let multi = pcap_sim::evaluate_prepared_multistate(
+            let (multi, _) = pcap_sim::evaluate(
                 &prepared,
                 &config,
                 kind,
-                &ladder,
-                &pcap_disk::PredictiveJump,
+                Some((&ladder, &pcap_disk::PredictiveJump)),
+                &mut pcap_sim::NullObserver,
+                &pcap_obs::NullPipeline,
             );
-            prop_assert_eq!(&legacy, &multi.report, "{} diverged", kind.label());
+            prop_assert_eq!(&legacy, &multi, "{} diverged", kind.label());
         }
     }
 
@@ -661,14 +669,16 @@ proptest! {
         let ski = SkiRental::new(&ladder);
         let policies: [&dyn pcap_disk::LadderPolicy; 3] = [&PredictiveJump, &ski, &OracleLadder];
         for policy in policies {
-            let out = pcap_sim::evaluate_prepared_multistate(
+            let (report, stats) = pcap_sim::evaluate(
                 &prepared,
                 &config,
                 PowerManagerKind::PCAP,
-                &ladder,
-                policy,
+                Some((&ladder, policy)),
+                &mut pcap_sim::NullObserver,
+                &pcap_obs::NullPipeline,
             );
-            for energy in [&out.report.energy, &out.report.base_energy] {
+            let stats = stats.expect("a ladder evaluation returns its stats");
+            for energy in [&report.energy, &report.base_energy] {
                 let sum = energy.busy.0
                     + energy.idle_short.0
                     + energy.idle_long.0
@@ -682,7 +692,7 @@ proptest! {
                 prop_assert!(energy.total().0.is_finite() && energy.total().0 >= 0.0);
             }
             prop_assert_eq!(
-                out.ladder_stats.total_gaps(),
+                stats.total_gaps(),
                 accesses as u64,
                 "{}: stats must cover every gap",
                 policy.label()

@@ -1,13 +1,14 @@
 //! Pins the zero-overhead-when-disabled contract at the allocator
 //! level: driving the instrumented evaluation path with
 //! [`NullPipeline`] must perform exactly the same number of heap
-//! allocations as the uninstrumented path — the `O::ENABLED` guards
+//! allocations as the uninstrumented run loop — the `P::ENABLED` guards
 //! must compile the span names, timestamps and registry updates out
 //! entirely, not merely skip their delivery.
 
 use pcap_dpm::obs::{span, NullPipeline, PipelineObserver, TraceRecorder};
 use pcap_dpm::sim::{
-    evaluate_prepared, evaluate_prepared_traced, PowerManagerKind, PreparedTrace, SimConfig,
+    evaluate, evaluate_prepared, simulate_run_observed, AppReport, EnergyBreakdown, EngineScratch,
+    NullObserver, PowerManagerKind, PredictionCounts, PreparedTrace, SimConfig,
 };
 use pcap_dpm::workload::{AppModel, PaperApp};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,6 +46,50 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.load(Ordering::Relaxed) - before, result)
 }
 
+/// The evaluation with no pipeline layer at all: the run loop behind
+/// [`evaluate`], written out over the per-run entry point.
+fn untraced(prepared: &PreparedTrace, config: &SimConfig, kind: PowerManagerKind) -> AppReport {
+    let mut manager = kind.manager(config);
+    let mut report = AppReport {
+        app: prepared.app().clone(),
+        manager: kind.label(),
+        local: PredictionCounts::default(),
+        global: PredictionCounts::default(),
+        energy: EnergyBreakdown::default(),
+        base_energy: EnergyBreakdown::default(),
+        table_entries: None,
+        table_aliases: None,
+    };
+    let mut scratch = EngineScratch::new();
+    for streams in prepared.streams() {
+        let outcome = simulate_run_observed(
+            streams,
+            config,
+            &mut manager,
+            &mut scratch,
+            &mut NullObserver,
+        );
+        report.local += outcome.local;
+        report.global += outcome.global;
+        report.energy += outcome.energy;
+        report.base_energy += outcome.base_energy;
+        manager.on_run_end();
+    }
+    report.table_entries = manager.table_entries();
+    report.table_aliases = manager.table_aliases();
+    report
+}
+
+/// [`evaluate`] on the two-state disk with no decision observer.
+fn traced<P: PipelineObserver>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    kind: PowerManagerKind,
+    pipeline: &P,
+) -> AppReport {
+    evaluate(prepared, config, kind, None, &mut NullObserver, pipeline).0
+}
+
 /// One test function: the counter is process-global, so concurrent
 /// test threads would see each other's allocations.
 #[test]
@@ -59,10 +104,10 @@ fn disabled_tracing_allocates_nothing_extra() {
     });
     assert_eq!(n, 0, "NullPipeline primitives must not allocate");
 
-    // The full evaluation path: the traced variant with NullPipeline
-    // must allocate exactly as much as the plain one. Warm both paths
-    // first so one-time lazy state (manager tables, scratch growth)
-    // doesn't skew the steady-state counts.
+    // The full evaluation path: `evaluate` with NullPipeline must
+    // allocate exactly as much as the hand-written run loop. Warm both
+    // paths first so one-time lazy state (manager tables, scratch
+    // growth) doesn't skew the steady-state counts.
     let trace = {
         let mut t = PaperApp::Nedit
             .spec()
@@ -74,28 +119,27 @@ fn disabled_tracing_allocates_nothing_extra() {
     let config = SimConfig::paper();
     let prepared = PreparedTrace::build(&trace, &config);
     let kind = PowerManagerKind::PCAP;
-    std::hint::black_box(evaluate_prepared(&prepared, &config, kind));
-    std::hint::black_box(evaluate_prepared_traced(
-        &prepared,
-        &config,
-        kind,
-        &NullPipeline,
-    ));
+    std::hint::black_box(untraced(&prepared, &config, kind));
+    std::hint::black_box(traced(&prepared, &config, kind, &NullPipeline));
 
-    let (plain, _) = allocs_during(|| evaluate_prepared(&prepared, &config, kind));
-    let (disabled, _) =
-        allocs_during(|| evaluate_prepared_traced(&prepared, &config, kind, &NullPipeline));
+    let (plain, plain_report) = allocs_during(|| untraced(&prepared, &config, kind));
+    let (disabled, report) = allocs_during(|| traced(&prepared, &config, kind, &NullPipeline));
+    assert_eq!(report, plain_report, "the loops must agree");
     assert_eq!(
         disabled, plain,
-        "NullPipeline tracing must add zero allocations to evaluate_prepared"
+        "NullPipeline tracing must add zero allocations to the run loop"
+    );
+    let (wrapped, _) = allocs_during(|| evaluate_prepared(&prepared, &config, kind));
+    assert_eq!(
+        wrapped, plain,
+        "evaluate_prepared must add zero allocations to the run loop"
     );
 
     // Sanity check on the counter itself: an enabled recorder pays for
     // its span name and event storage, so it must allocate strictly
     // more than the disabled path.
     let recorder = TraceRecorder::new();
-    let (enabled, _) =
-        allocs_during(|| evaluate_prepared_traced(&prepared, &config, kind, &recorder));
+    let (enabled, _) = allocs_during(|| traced(&prepared, &config, kind, &recorder));
     assert!(
         enabled > disabled,
         "recorder must be visible to the counter: {enabled} vs {disabled}"

@@ -537,23 +537,16 @@ fn run() -> Result<(), String> {
                 "{}",
                 serde_json::to_string_pretty(&profile).map_err(|e| e.to_string())?
             );
-            // Gap-length histogram over the merged disk-access stream.
-            let mut all_gaps = Vec::new();
+            // Gap-length histogram over the merged disk-access stream of
+            // every execution, in the same µs buckets as `pcap audit`.
+            let mut histogram = pcap_sim::LogHistogram::new();
             for streams in prepared.streams() {
-                all_gaps.extend(pcap_trace::idle::idle_gaps(
-                    &streams.completions,
-                    streams.run_end,
-                ));
+                for gap in pcap_trace::idle::idle_gaps(&streams.completions, streams.run_end) {
+                    histogram.record(gap.length.as_micros());
+                }
             }
-            let histogram = pcap_trace::idle::GapHistogram::of(
-                &all_gaps,
-                pcap_trace::idle::GapHistogram::bounds_for_power_management(),
-            );
-            println!(
-                "
-idle-gap distribution (all executions):"
-            );
-            print!("{}", histogram.render());
+            let table = pcap_report::audit::gap_distribution_table(app.name(), &histogram);
+            println!("\n{table}");
             Ok(())
         }
         "inspect" => {

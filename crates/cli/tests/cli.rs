@@ -234,11 +234,38 @@ fn bench_quick_appends_trajectory_entries() {
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = std::fs::read_to_string(&out_path).expect("trajectory written");
     assert_eq!(text.matches("\"label\": \"cli-test\"").count(), 2);
-    // The appended trajectory passes its own regression gate.
-    let out = pcap(&["bench", "--check", "--out", out_arg]);
+    // The `--check` end-to-end path, on fixed numbers: two measured
+    // debug-build timings differ by more than the 15% tolerance often
+    // enough that gating them would test the host, not the gate.
+    let entry = |cells_per_s: f64| {
+        format!(
+            "{{\"label\": \"cli-test\", \"mode\": \"quick\", \"jobs\": 1, \
+             \"cells_per_s\": {cells_per_s}, \"warmup_prepare_calls\": 0, \
+             \"observer_overhead\": 0.0, \"null_eval_s\": 0.05}}"
+        )
+    };
+    let check = |file: &str, first: f64, second: f64| {
+        let path = dir.join(file);
+        std::fs::write(&path, format!("[{}, {}]\n", entry(first), entry(second)))
+            .expect("write trajectory");
+        pcap(&[
+            "bench",
+            "--check",
+            "--out",
+            path.to_str().expect("utf-8 path"),
+        ])
+    };
+    let out = check("steady.json", 400.0, 380.0);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(
         stderr(&out).contains("passes the regression gate"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let out = check("regressed.json", 400.0, 300.0);
+    assert!(!out.status.success(), "a 25% drop must fail the gate");
+    assert!(
+        stderr(&out).contains("bench regression gate failed"),
         "stderr: {}",
         stderr(&out)
     );
@@ -1048,5 +1075,41 @@ fn inspect_output_is_pinned() {
         (927, 0x1b53_8d6c_b002_d67c),
         "stdout: {}",
         String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// `pcap profile APP` prints the workload profile as JSON, then the
+/// idle-gap lengths of every execution in the same log₂ µs buckets as
+/// `pcap audit` and `pcap explain`.
+#[test]
+fn profile_output_is_pinned() {
+    let out = pcap(&["profile", "nedit"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "{\n\
+         \x20 \"app\": \"nedit\",\n\
+         \x20 \"executions\": 29,\n\
+         \x20 \"global_idle_periods\": 29,\n\
+         \x20 \"local_idle_periods\": 29,\n\
+         \x20 \"total_ios\": 6049,\n\
+         \x20 \"disk_accesses\": 6049,\n\
+         \x20 \"cache_hit_rate\": 0.0024076380240763804\n\
+         }\n\
+         \n\
+         ## Idle-gap distribution: nedit\n\
+         \n\
+         |        gap bucket (µs) | gaps | share |\n\
+         |------------------------|------|-------|\n\
+         |          [8192, 16384) | 5991 | 99.0% |\n\
+         |      [524288, 1048576) |    3 |  0.0% |\n\
+         |     [1048576, 2097152) |   24 |  0.4% |\n\
+         |     [2097152, 4194304) |    2 |  0.0% |\n\
+         |   [16777216, 33554432) |    2 |  0.0% |\n\
+         |   [33554432, 67108864) |    6 |  0.1% |\n\
+         |  [67108864, 134217728) |    6 |  0.1% |\n\
+         | [134217728, 268435456) |   12 |  0.2% |\n\
+         | [268435456, 536870912) |    3 |  0.0% |\n\
+         \n"
     );
 }

@@ -1,5 +1,11 @@
-//! Log-scaled histograms shared by the decision-audit metrics
-//! (`pcap_sim::audit`) and the pipeline tracing registry.
+//! The one log₂ histogram layout of the workspace: [`LogHistogram`]
+//! (plain counts, for single-threaded owners such as the
+//! decision-audit metrics, the pipeline tracing registry and
+//! `pcap profile APP`) and [`AtomicHistogram`] (relaxed-atomic
+//! buckets, for the daemon's `/metrics` and the load client). Both
+//! render to Prometheus through [`write_histogram`](crate::prom::write_histogram).
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed-size histogram over `log2` buckets of microsecond values.
 ///
@@ -19,6 +25,7 @@ impl LogHistogram {
     }
 
     /// The bucket index a value falls into.
+    #[inline]
     pub fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
@@ -47,6 +54,7 @@ impl LogHistogram {
     }
 
     /// Records one value.
+    #[inline]
     pub fn record(&mut self, value: u64) {
         self.counts[Self::bucket_of(value)] += 1;
     }
@@ -65,6 +73,33 @@ impl LogHistogram {
 impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram::new()
+    }
+}
+
+/// A [`LogHistogram`] with relaxed-atomic buckets plus a value sum,
+/// recordable from any thread without locking.
+#[derive(Debug, Default)]
+pub struct AtomicHistogram {
+    buckets: [AtomicU64; 32],
+    sum: AtomicU64,
+}
+
+impl AtomicHistogram {
+    /// Records one value. The sum wraps on overflow, as
+    /// `AtomicU64::fetch_add` does.
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.buckets[LogHistogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// A plain-histogram snapshot plus the value sum.
+    pub fn snapshot(&self) -> (LogHistogram, u64) {
+        let counts = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
+        (
+            LogHistogram::from_counts(counts),
+            self.sum.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -119,5 +154,20 @@ mod tests {
                 assert_eq!(LogHistogram::bucket_of(hi), 31, "inclusive top");
             }
         }
+    }
+
+    #[test]
+    fn atomic_histogram_snapshot_matches_buckets() {
+        let h = AtomicHistogram::default();
+        for v in [0, 1, 5, 5, 1_000_000, u64::MAX] {
+            h.record(v);
+        }
+        let (hist, sum) = h.snapshot();
+        assert_eq!(hist.total(), 6);
+        // The sum wraps on overflow, as `AtomicU64::fetch_add` does.
+        assert_eq!(sum, 1_000_011u64.wrapping_add(u64::MAX));
+        assert_eq!(hist.counts()[0], 1);
+        assert_eq!(hist.counts()[3], 2, "two fives in [4,8)");
+        assert_eq!(hist.counts()[31], 1, "u64::MAX lands in the clamp bucket");
     }
 }

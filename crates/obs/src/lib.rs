@@ -16,14 +16,19 @@
 //!   wall-clock budget for the *enabled* path).
 //! * [`TraceRecorder`] is the real sink: a thread-safe registry of
 //!   spans (one track per thread, hence one track per sweep worker),
-//!   monotonic counters, log₂ histograms ([`LogHistogram`], shared
-//!   with the decision-audit metrics), per-worker [`WorkerStats`] and
-//!   slowest-task attribution.
+//!   monotonic counters, log₂ histograms, per-worker [`WorkerStats`]
+//!   and slowest-task attribution.
+//! * [`histogram`] holds the workspace's one log₂ bucket layout:
+//!   [`LogHistogram`] (the recorder, the decision-audit metrics and
+//!   `pcap profile APP`) and its relaxed-atomic variant
+//!   [`AtomicHistogram`] (the daemon's `/metrics` and the load
+//!   client).
 //!
 //! Three exporters turn a recorder into artifacts:
 //! [`chrome`] (trace-event JSON for Perfetto / `chrome://tracing`),
-//! [`prom`] (Prometheus text exposition) and [`summary`] (flat
-//! per-stage tables for terminals). [`bench`] holds the
+//! [`prom`] (Prometheus text exposition; its [`write_histogram`] is
+//! the one histogram writer, shared with the daemon) and [`summary`]
+//! (flat per-stage tables for terminals). [`bench`] holds the
 //! forward/backward-compatible `BENCH_sim.json` schema and the
 //! `pcap bench --check` regression gate.
 //!
@@ -50,12 +55,12 @@ pub use bench::{
 };
 pub use chrome::{render_chrome_trace, validate_chrome_trace, ChromeTraceStats};
 pub use flight::{validate_flight_dump, FlightDumpStats, FlightEvent, FlightKind, FlightRecorder};
-pub use histogram::LogHistogram;
+pub use histogram::{AtomicHistogram, LogHistogram};
 pub use journal::{JournalProgress, JournalProgressSnapshot};
 pub use log::RateGate;
 pub use prom::{
     parse_prometheus_samples, render_journal_progress, render_prometheus, validate_prometheus,
-    validate_prometheus_strict, PromSample,
+    validate_prometheus_strict, write_histogram, PromSample,
 };
 pub use recorder::{SlowestTask, TraceEvent, TraceRecorder};
 pub use summary::{imbalance_ratio, render_stage_table, stage_summary, worker_summary, StageStat};

@@ -23,6 +23,45 @@ fn escape_label(value: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// Appends one histogram's series under `name`: the cumulative
+/// `_bucket` lines (`le` bounds `2^k − 1`, then `+Inf`), `_sum` and
+/// `_count`, with `labels` (e.g. `shard="3"`, or empty) on every line.
+/// Family metadata is the caller's, so one `# HELP`/`# TYPE` pair can
+/// cover every labelled instance of a family. This is the only
+/// Prometheus histogram writer: the recorder export and the daemon's
+/// `/metrics` both go through it.
+pub fn write_histogram(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    histogram: &LogHistogram,
+    sum: u64,
+) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cumulative = 0u64;
+    for (k, count) in histogram.counts().iter().enumerate() {
+        cumulative += count;
+        let _ = match k {
+            31 => writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
+            ),
+            _ => writeln!(
+                out,
+                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
+                LogHistogram::bucket_bounds(k).1 - 1
+            ),
+        };
+    }
+    let braced = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    };
+    let _ = writeln!(out, "{name}_sum{braced} {sum}");
+    let _ = writeln!(out, "{name}_count{braced} {cumulative}");
+}
+
 /// Renders the recorder's registry in Prometheus text exposition
 /// format (version 0.0.4), with `# HELP`/`# TYPE` metadata on every
 /// family. The output passes [`validate_prometheus_strict`].
@@ -42,18 +81,7 @@ pub fn render_prometheus(recorder: &TraceRecorder) -> String {
             "# HELP pcap_{name} Log2-bucketed microsecond histogram `{name}`."
         );
         let _ = writeln!(out, "# TYPE pcap_{name} histogram");
-        let mut cumulative = 0u64;
-        for (k, count) in histogram.counts().iter().enumerate() {
-            cumulative += count;
-            if k < 31 {
-                let (_, hi) = LogHistogram::bucket_bounds(k);
-                let _ = writeln!(out, "pcap_{name}_bucket{{le=\"{}\"}} {cumulative}", hi - 1);
-            } else {
-                let _ = writeln!(out, "pcap_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            }
-        }
-        let _ = writeln!(out, "pcap_{name}_sum {sum}");
-        let _ = writeln!(out, "pcap_{name}_count {}", histogram.total());
+        write_histogram(&mut out, &format!("pcap_{name}"), "", &histogram, sum);
     }
     let workers = recorder.workers();
     if !workers.is_empty() {
@@ -489,6 +517,102 @@ mod tests {
         assert!(text.contains("pcap_prepare_us_sum 903"));
         assert!(text.contains("pcap_worker_wait_us{scope=\"warm_up\",worker=\"0\"} 10"));
         assert!(text.contains("pcap_slowest_task_us{task=\"cell:mozilla×PCAP\"} 120"));
+    }
+
+    /// Pins the one histogram writer byte for byte: an unlabelled
+    /// series (as the recorder export writes it) and a `shard="1"`
+    /// series (as the daemon's per-shard stage families write it),
+    /// covering the zero bucket, interior buckets and the `+Inf` clamp.
+    #[test]
+    fn histogram_writer_output_is_pinned() {
+        let mut plain = LogHistogram::new();
+        for v in [0, 3, 900] {
+            plain.record(v);
+        }
+        let mut shard = LogHistogram::new();
+        for v in [12, 130, 2_000_000_000] {
+            shard.record(v);
+        }
+        let mut out = String::new();
+        write_histogram(&mut out, "pcap_prepare_us", "", &plain, 903);
+        write_histogram(
+            &mut out,
+            "pcap_serve_stage_eval_us",
+            "shard=\"1\"",
+            &shard,
+            2_000_000_142,
+        );
+        assert_eq!(
+            out,
+            "pcap_prepare_us_bucket{le=\"0\"} 1\n\
+pcap_prepare_us_bucket{le=\"1\"} 1\n\
+pcap_prepare_us_bucket{le=\"3\"} 2\n\
+pcap_prepare_us_bucket{le=\"7\"} 2\n\
+pcap_prepare_us_bucket{le=\"15\"} 2\n\
+pcap_prepare_us_bucket{le=\"31\"} 2\n\
+pcap_prepare_us_bucket{le=\"63\"} 2\n\
+pcap_prepare_us_bucket{le=\"127\"} 2\n\
+pcap_prepare_us_bucket{le=\"255\"} 2\n\
+pcap_prepare_us_bucket{le=\"511\"} 2\n\
+pcap_prepare_us_bucket{le=\"1023\"} 3\n\
+pcap_prepare_us_bucket{le=\"2047\"} 3\n\
+pcap_prepare_us_bucket{le=\"4095\"} 3\n\
+pcap_prepare_us_bucket{le=\"8191\"} 3\n\
+pcap_prepare_us_bucket{le=\"16383\"} 3\n\
+pcap_prepare_us_bucket{le=\"32767\"} 3\n\
+pcap_prepare_us_bucket{le=\"65535\"} 3\n\
+pcap_prepare_us_bucket{le=\"131071\"} 3\n\
+pcap_prepare_us_bucket{le=\"262143\"} 3\n\
+pcap_prepare_us_bucket{le=\"524287\"} 3\n\
+pcap_prepare_us_bucket{le=\"1048575\"} 3\n\
+pcap_prepare_us_bucket{le=\"2097151\"} 3\n\
+pcap_prepare_us_bucket{le=\"4194303\"} 3\n\
+pcap_prepare_us_bucket{le=\"8388607\"} 3\n\
+pcap_prepare_us_bucket{le=\"16777215\"} 3\n\
+pcap_prepare_us_bucket{le=\"33554431\"} 3\n\
+pcap_prepare_us_bucket{le=\"67108863\"} 3\n\
+pcap_prepare_us_bucket{le=\"134217727\"} 3\n\
+pcap_prepare_us_bucket{le=\"268435455\"} 3\n\
+pcap_prepare_us_bucket{le=\"536870911\"} 3\n\
+pcap_prepare_us_bucket{le=\"1073741823\"} 3\n\
+pcap_prepare_us_bucket{le=\"+Inf\"} 3\n\
+pcap_prepare_us_sum 903\n\
+pcap_prepare_us_count 3\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"0\"} 0\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"1\"} 0\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"3\"} 0\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"7\"} 0\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"15\"} 1\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"31\"} 1\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"63\"} 1\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"127\"} 1\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"255\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"511\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"1023\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"2047\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"4095\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"8191\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"16383\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"32767\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"65535\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"131071\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"262143\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"524287\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"1048575\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"2097151\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"4194303\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"8388607\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"16777215\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"33554431\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"67108863\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"134217727\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"268435455\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"536870911\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"1073741823\"} 2\n\
+pcap_serve_stage_eval_us_bucket{shard=\"1\",le=\"+Inf\"} 3\n\
+pcap_serve_stage_eval_us_sum{shard=\"1\"} 2000000142\n\
+pcap_serve_stage_eval_us_count{shard=\"1\"} 3\n"
+        );
     }
 
     #[test]

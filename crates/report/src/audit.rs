@@ -38,7 +38,7 @@ pub fn audit_tables(outcome: &AuditOutcome, top_misses: usize) -> Vec<Table> {
 pub fn explain_tables(outcome: &AuditOutcome) -> Vec<Table> {
     vec![
         signature_table(outcome),
-        gap_distribution_table(outcome),
+        gap_distribution_table(&outcome.report.app, &outcome.metrics.gap_histogram),
         narrative_table(outcome),
     ]
 }
@@ -235,12 +235,14 @@ fn bucket_label(index: usize) -> String {
     }
 }
 
-/// The log₂-bucketed merged idle-gap distribution.
-pub fn gap_distribution_table(outcome: &AuditOutcome) -> Table {
-    let hist = &outcome.metrics.gap_histogram;
+/// The log₂-bucketed idle-gap distribution of `app`: one row per
+/// non-empty µs bucket. `pcap audit`/`explain` pass the merged gaps of
+/// an audited run; `pcap profile APP` passes the gaps of its
+/// cache-filtered access streams.
+pub fn gap_distribution_table(app: &str, hist: &LogHistogram) -> Table {
     let total = hist.total().max(1);
     let mut t = Table::new(
-        format!("Idle-gap distribution: {}", outcome.report.app),
+        format!("Idle-gap distribution: {app}"),
         &["gap bucket (µs)", "gaps", "share"],
     );
     for (index, &count) in hist.counts().iter().enumerate() {
@@ -347,7 +349,7 @@ pub fn audit_snapshot_csv(outcome: &AuditOutcome) -> String {
     let mut tables = vec![
         summary_table(outcome),
         signature_table(outcome),
-        gap_distribution_table(outcome),
+        gap_distribution_table(&outcome.report.app, &outcome.metrics.gap_histogram),
     ];
     tables.extend(top_miss_tables(outcome, GOLDEN_TOP_MISSES));
     tables_to_csv(&tables)

@@ -62,5 +62,8 @@ pub use frame::{
     decode_client, decode_server, encode_client, encode_server, get_record, put_record,
     ClientFrame, ServerFrame, PROTOCOL_VERSION,
 };
-pub use metrics::{AtomicHistogram, ServeMetrics, ShardStats};
+pub use metrics::{ServeMetrics, ShardStats};
+/// The relaxed-atomic log₂ histogram behind every `/metrics` latency
+/// family, re-exported from `pcap-obs` where it lives.
+pub use pcap_obs::AtomicHistogram;
 pub use server::{shard_of, start, Endpoint, ServeConfig, ServerHandle};

@@ -9,80 +9,13 @@
 //! current — scrapes are monotone per counter but not a consistent
 //! snapshot across counters, the standard Prometheus contract.
 
-use pcap_obs::LogHistogram;
+use pcap_obs::{write_histogram, AtomicHistogram};
 use pcap_sim::{DecisionRecord, GapVerdict};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// A [`LogHistogram`] with relaxed-atomic buckets, recordable from any
-/// thread without locking.
-#[derive(Debug, Default)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; 32],
-    sum: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// Records one microsecond value.
-    pub fn record(&self, value: u64) {
-        self.buckets[LogHistogram::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-
-    /// A plain-histogram snapshot plus the value sum.
-    pub fn snapshot(&self) -> (LogHistogram, u64) {
-        let counts = std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed));
-        (
-            LogHistogram::from_counts(counts),
-            self.sum.load(Ordering::Relaxed),
-        )
-    }
-
-    fn render(&self, name: &str, help: &str, out: &mut String) {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.render_series(name, "", out);
-    }
-
-    /// Appends this histogram's bucket/sum/count series under `name`
-    /// with `labels` (e.g. `shard="3"`) on every line, without family
-    /// metadata — the caller emits one `# HELP`/`# TYPE` pair for all
-    /// labelled instances of the family.
-    fn render_series(&self, name: &str, labels: &str, out: &mut String) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let mut cumulative = 0u64;
-        for k in 0..32 {
-            cumulative += self.buckets[k].load(Ordering::Relaxed);
-            if k < 31 {
-                let (_, hi) = LogHistogram::bucket_bounds(k);
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
-                    hi - 1
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cumulative}"
-                );
-            }
-        }
-        let brace = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        let _ = writeln!(
-            out,
-            "{name}_sum{brace} {}",
-            self.sum.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "{name}_count{brace} {cumulative}");
-    }
-}
 
 /// Per-shard queue and throughput counters, plus the stage-latency
 /// attribution histograms (DESIGN.md §15): the end-to-end decision
@@ -382,20 +315,28 @@ impl ServeMetrics {
                 let _ = writeln!(out, "# HELP {name} {help}");
                 let _ = writeln!(out, "# TYPE {name} histogram");
                 for (i, shard) in self.shards.iter().enumerate() {
-                    pick(shard).render_series(name, &format!("shard=\"{i}\""), &mut out);
+                    let (histogram, sum) = pick(shard).snapshot();
+                    write_histogram(&mut out, name, &format!("shard=\"{i}\""), &histogram, sum);
                 }
             }
         }
-        self.gap_us.render(
-            "pcap_serve_gap_us",
-            "Merged idle-gap length distribution (us).",
-            &mut out,
-        );
-        self.run_eval_us.render(
-            "pcap_serve_run_eval_us",
-            "Server-side run evaluation latency (us).",
-            &mut out,
-        );
+        for (name, help, histogram) in [
+            (
+                "pcap_serve_gap_us",
+                "Merged idle-gap length distribution (us).",
+                &self.gap_us,
+            ),
+            (
+                "pcap_serve_run_eval_us",
+                "Server-side run evaluation latency (us).",
+                &self.run_eval_us,
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            let (histogram, sum) = histogram.snapshot();
+            write_histogram(&mut out, name, "", &histogram, sum);
+        }
         out
     }
 }
@@ -487,21 +428,6 @@ mod tests {
         let off = ServeMetrics::new(1, 0, 3);
         off.observe_decision(&record(GapVerdict::Hit, 1));
         assert!(off.sampled_records().is_empty());
-    }
-
-    #[test]
-    fn atomic_histogram_snapshot_matches_buckets() {
-        let h = AtomicHistogram::default();
-        for v in [0, 1, 5, 5, 1_000_000, u64::MAX] {
-            h.record(v);
-        }
-        let (hist, sum) = h.snapshot();
-        assert_eq!(hist.total(), 6);
-        // The sum wraps on overflow, as `AtomicU64::fetch_add` does.
-        assert_eq!(sum, 1_000_011u64.wrapping_add(u64::MAX));
-        assert_eq!(hist.counts()[0], 1);
-        assert_eq!(hist.counts()[3], 2, "two fives in [4,8)");
-        assert_eq!(hist.counts()[31], 1, "u64::MAX lands in the clamp bucket");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   monomorphization deletes the audit code entirely from the hot
 //!   path. `pcap bench` asserts the null sink costs nothing measurable.
 //! * [`AuditCollector`] records every decision as a [`DecisionRecord`],
-//!   feeds a [`MetricsRegistry`] (counters plus log-scaled gap/latency
-//!   histograms), and *replays* the engine's energy accounting so its
+//!   feeds a [`MetricsRegistry`] (counters plus the shared log₂
+//!   [`LogHistogram`] of gap lengths), and *replays* the engine's energy accounting so its
 //!   totals are bitwise-equal to the aggregate report — the
 //!   reconciliation property `tests/properties.rs` enforces.
 //!
@@ -175,7 +175,7 @@ impl DecisionObserver for NullObserver {
 pub use pcap_obs::LogHistogram;
 
 /// Aggregate audit metrics: decision counters, the summed per-decision
-/// energy delta, and log-scaled gap/latency histograms.
+/// energy delta, and the log₂ idle-gap histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricsRegistry {
     /// Decisions observed (one per cache-filtered access).
@@ -198,8 +198,6 @@ pub struct MetricsRegistry {
     pub energy_delta_j: f64,
     /// Distribution of merged idle-gap lengths.
     pub gap_histogram: LogHistogram,
-    /// Distribution of shutdown latencies (gap start → spin-down).
-    pub latency_histogram: LogHistogram,
 }
 
 impl MetricsRegistry {
@@ -208,7 +206,7 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Folds one decision into the counters and histograms.
+    /// Folds one decision into the counters and the gap histogram.
     pub fn observe(&mut self, record: &DecisionRecord) {
         self.decisions += 1;
         self.gap_histogram.record(record.global_gap.as_micros());
@@ -225,9 +223,6 @@ impl MetricsRegistry {
                 Some(VoteSource::Backup) => self.shutdowns_backup += 1,
                 None => {}
             }
-        }
-        if let Some(latency) = record.shutdown_latency() {
-            self.latency_histogram.record(latency.as_micros());
         }
     }
 
@@ -451,7 +446,6 @@ mod tests {
         assert_eq!(m.shutdowns_backup, 0);
         assert!((m.energy_delta_j - (-1.0)).abs() < 1e-12);
         assert_eq!(m.gap_histogram.total(), 4);
-        assert_eq!(m.latency_histogram.total(), 2, "only shutdowns");
     }
 
     #[test]

@@ -109,68 +109,6 @@ impl GapClass {
     }
 }
 
-/// A logarithmic histogram of idle-gap lengths, bucketed the way power
-/// management cares about them: sub-wait-window, short, near-breakeven,
-/// and successively longer doublings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GapHistogram {
-    /// Bucket upper bounds in seconds (the last bucket is unbounded).
-    pub bounds: Vec<f64>,
-    /// Gap counts per bucket (`bounds.len() + 1` entries).
-    pub counts: Vec<usize>,
-}
-
-impl GapHistogram {
-    /// The default power-management bucketing: 1 s (wait-window),
-    /// 5.43 s (breakeven), then doublings to ~6 min.
-    pub fn bounds_for_power_management() -> Vec<f64> {
-        vec![1.0, 5.43, 10.86, 21.72, 43.44, 86.88, 173.76, 347.52]
-    }
-
-    /// Builds a histogram of the given gaps.
-    pub fn of(gaps: &[IdleGap], bounds: Vec<f64>) -> GapHistogram {
-        let mut counts = vec![0usize; bounds.len() + 1];
-        for gap in gaps {
-            let secs = gap.length.as_secs_f64();
-            let bucket = bounds
-                .iter()
-                .position(|&b| secs <= b)
-                .unwrap_or(bounds.len());
-            counts[bucket] += 1;
-        }
-        GapHistogram { bounds, counts }
-    }
-
-    /// Total gaps counted.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Renders the histogram as labelled text lines with proportional
-    /// bars.
-    pub fn render(&self) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        let mut lower = 0.0f64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            let label = if i < self.bounds.len() {
-                format!("{:>7.2}–{:<7.2}s", lower, self.bounds[i])
-            } else {
-                format!("{:>7.2}s and up ", lower)
-            };
-            let bar = "#".repeat(count * 40 / max);
-            out.push_str(&format!(
-                "{label} |{bar:<40}| {count}
-"
-            ));
-            if i < self.bounds.len() {
-                lower = self.bounds[i];
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,23 +165,6 @@ mod tests {
         // breakeven is short (strict comparisons).
         assert_eq!(GapClass::of(ww, ww, be), GapClass::SubWindow);
         assert_eq!(GapClass::of(be, ww, be), GapClass::Short);
-    }
-
-    #[test]
-    fn histogram_buckets_and_renders() {
-        let gaps = idle_gaps(
-            &[0u64, 1, 3, 20, 120].map(SimTime::from_secs),
-            SimTime::from_secs(500),
-        );
-        // Gap lengths: 1, 2, 17, 100, 380 seconds.
-        let h = GapHistogram::of(&gaps, GapHistogram::bounds_for_power_management());
-        assert_eq!(h.total(), gaps.len());
-        assert_eq!(h.counts[0], 1, "1 s gap in the sub-window bucket");
-        assert_eq!(h.counts[1], 1, "2 s gap below breakeven");
-        assert_eq!(*h.counts.last().unwrap(), 1, "380 s gap in the tail");
-        let text = h.render();
-        assert!(text.contains("and up"));
-        assert!(text.lines().count() == h.counts.len());
     }
 
     #[test]
